@@ -38,13 +38,12 @@
 //!   compounds;
 //! * summary codec compactness (bytes per shipped summary vs the raw
 //!   16-bytes-per-pair encoding; backend-neutral, measured once);
-//! * the **transport dimension** (`--transport {inproc,uds,tcp,shm}`,
+//! * the **transport dimension** (`--transport {inproc,uds,tcp}`,
 //!   dense backend): end-to-end distributed throughput per transport —
 //!   the in-process thread executor vs real socket sessions against
 //!   in-process worker threads speaking the full QLVT framed protocol
-//!   over Unix-domain socketpairs, TCP loopback, and the zero-copy
-//!   shared-memory data plane (UDS control side-channel + mapped
-//!   seqlock summary rings) — plus the pipelined coordinator's overlap
+//!   over Unix-domain socketpairs and TCP loopback — plus the pipelined
+//!   coordinator's overlap
 //!   (µs of merge per boundary hidden behind shard ingest, and the
 //!   hidden fraction of total merge time). Throughput rows are gated
 //!   by CI; the overlap rows are recorded but ungated — overlap needs
@@ -56,12 +55,6 @@
 //!   the gate already holds the *instrumented* transport rows to ±25%,
 //!   so this section exists to record that the uninstrumented twin
 //!   sits in the same band, not to gate a second noisy number;
-//! * **checkpoint-recovery timing** (`checkpoint_recovery` section,
-//!   unix only): a worker severed mid-sub-window is respawned on the
-//!   same shm base (remap: mmap checkpoint restore + replay-prefix
-//!   skip) vs a fresh base (classic full QLVS replay), with the wall
-//!   µs from `Restore` to the next boundary answer. Report-only, like
-//!   `recovery` — restore is off the failure-free hot path;
 //! * the **sessions/process scaling curve** (`sessions` section): S ∈
 //!   {1, 4, 16, 64} independent windows multiplexed over ONE worker
 //!   connection via the v2 multi-session server, with aggregate
@@ -102,15 +95,14 @@ struct Args {
     out: String,
 }
 
-const ALL_TRANSPORTS: [&str; 4] = ["inproc", "uds", "tcp", "shm"];
+const ALL_TRANSPORTS: [&str; 3] = ["inproc", "uds", "tcp"];
 
 /// Transports measured when `--transport` is not given: everything the
-/// target supports (Unix-domain socketpairs and shared-memory rings
-/// both need a unix target).
+/// target supports (Unix-domain socketpairs need a unix target).
 fn default_transports() -> Vec<String> {
     ALL_TRANSPORTS
         .iter()
-        .filter(|&&t| cfg!(unix) || (t != "uds" && t != "shm"))
+        .filter(|&&t| cfg!(unix) || t != "uds")
         .map(|&t| t.to_string())
         .collect()
 }
@@ -129,7 +121,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: bench_merge [--events N] [--shards a,b,c] \
-                     [--transport inproc,uds,tcp,shm] [--out PATH] [--smoke]"
+                     [--transport inproc,uds,tcp] [--out PATH] [--smoke]"
                 );
                 std::process::exit(0);
             }
@@ -168,10 +160,10 @@ fn parse_args() -> Result<Args, String> {
                             .iter()
                             .find(|t| !ALL_TRANSPORTS.contains(&t.as_str()))
                         {
-                            return Err(format!("unknown transport {bad} (inproc|uds|tcp|shm)"));
+                            return Err(format!("unknown transport {bad} (inproc|uds|tcp)"));
                         }
-                        if !cfg!(unix) && args.transports.iter().any(|t| t == "uds" || t == "shm") {
-                            return Err("uds/shm transports need a unix target".into());
+                        if !cfg!(unix) && args.transports.iter().any(|t| t == "uds") {
+                            return Err("uds transport needs a unix target".into());
                         }
                     }
                     _ => args.out = value.clone(),
@@ -338,50 +330,12 @@ struct TransportRow {
     matches: bool,
 }
 
-/// Fresh unique shared-memory base path for one bench connection
-/// (pid + counter, under the system temp dir).
-#[cfg(unix)]
-fn fresh_shm_base(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "qlove-bench-{tag}.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// Remove every file derived from a shared-memory base path (socket,
-/// rings, checkpoints). The transport unlinks its own artifacts on
-/// clean shutdown; this keeps crashed or severed passes from leaking
-/// temp files between measurements.
-#[cfg(unix)]
-fn scrub_shm_base(base: &std::path::Path) {
-    let (Some(dir), Some(name)) = (base.parent(), base.file_name()) else {
-        return;
-    };
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry
-            .file_name()
-            .to_string_lossy()
-            .starts_with(&*name.to_string_lossy())
-        {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-}
-
 /// Run one socket-distributed pass against in-process worker threads
 /// speaking the full QLVT framed protocol. `uds` uses socketpairs,
-/// `tcp` a loopback listener, `shm` the shared-memory endpoint (UDS
-/// control side-channel + mapped summary rings, which
-/// `run_over_sockets` attaches automatically) — real sockets and real
-/// frame encode/decode either way, isolating the wire cost without the
+/// `tcp` a loopback listener — real sockets and real frame
+/// encode/decode either way, isolating the wire cost without the
 /// child-process spawn noise (the cross-process differential lives in
-/// `tests/transport_shm.rs` / `tests/transport_differential.rs`).
+/// `tests/transport_differential.rs`).
 fn socket_pass(
     cfg: &QloveConfig,
     data: &[u64],
@@ -389,9 +343,7 @@ fn socket_pass(
     family: &str,
 ) -> (Vec<QloveAnswer>, PipelineStats) {
     use qlove_transport::{serve_stream, Conn, Endpoint, Listener};
-    #[cfg(unix)]
-    let mut shm_bases: Vec<std::path::PathBuf> = Vec::new();
-    let result = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut conns = Vec::with_capacity(shards);
         for _ in 0..shards {
             match family {
@@ -401,19 +353,6 @@ fn socket_pass(
                         .expect("socketpair for uds transport");
                     conns.push(Conn::Unix(ours));
                     scope.spawn(move || serve_stream(Conn::Unix(theirs)));
-                }
-                #[cfg(unix)]
-                "shm" => {
-                    let base = fresh_shm_base("shm");
-                    let listener =
-                        Listener::bind(&Endpoint::Shm(base.clone())).expect("bind shm listener");
-                    let endpoint = listener.local_endpoint().expect("resolve shm endpoint");
-                    scope.spawn(move || {
-                        let conn = listener.accept().expect("accept shm worker conn");
-                        serve_stream(conn)
-                    });
-                    conns.push(Conn::connect(&endpoint).expect("connect to shm worker thread"));
-                    shm_bases.push(base);
                 }
                 "tcp" => {
                     let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into()))
@@ -432,12 +371,7 @@ fn socket_pass(
         let run = qlove_transport::run_over_sockets(cfg, &mut coordinator, conns, data)
             .expect("socket-distributed pass");
         (run.answers, run.stats)
-    });
-    #[cfg(unix)]
-    for base in &shm_bases {
-        scrub_shm_base(base);
-    }
-    result
+    })
 }
 
 /// Measure the transport dimension on the dense backend (the backend
@@ -768,175 +702,6 @@ fn measure_recovery(data: &[u64], passes: usize, out: &mut Vec<RecoveryRow>) {
     }
 }
 
-/// One checkpoint-recovery timing measurement (report-only, like
-/// `recovery`): a worker severed mid-sub-window is brought back either
-/// on the SAME shm base (`remap` — mmap checkpoint restore plus
-/// replay-prefix skip) or on a FRESH base (`replay` — classic full
-/// QLVS replay of the unacknowledged tail), and the row records the
-/// wall µs from writing `Restore` to reading the next boundary answer.
-struct CheckpointRecoveryRow {
-    mode: &'static str,
-    restore_us: u64,
-    replayed_frames: usize,
-    matches: bool,
-}
-
-/// Measure mmap-checkpoint remap-restore against classic replay with a
-/// deterministic scripted coordinator over real shm worker threads:
-/// incarnation 1 completes sub-window 0, absorbs (and checkpoints) a
-/// prefix of sub-window 1's batches, then is severed; incarnation 2
-/// restores with the supervised coordinator's replay protocol (empty
-/// wire checkpoint) and finishes the sub-window, bit-checked against
-/// an independent sequential shard. Unix-only; report-only for the
-/// perf gate — restore is off the failure-free hot path.
-#[allow(unused_variables)]
-fn measure_checkpoint_recovery(out: &mut Vec<CheckpointRecoveryRow>) {
-    #[cfg(unix)]
-    {
-        use qlove_transport::{
-            serve_stream, Conn, Endpoint, Frame, FrameReader, FrameWriter, Listener, Role,
-            WorkerMode, PROTOCOL_VERSION,
-        };
-        let cfg = QloveConfig::new(&PHIS, WINDOW, PERIOD).backend(Backend::Dense);
-        let sub0: Vec<u64> = (0..PERIOD as u64)
-            .map(|i| (i * 2654435761) % 9_973)
-            .collect();
-        // Enough batches to overflow the worker's per-session pending
-        // queue, so a non-empty prefix is provably checkpointed before
-        // the crash and the remap pass has a real skip to perform.
-        let replayed: Vec<Vec<u64>> = (0..12)
-            .map(|b| (0..50u64).map(|i| (i * 7919 + b) % 4_999).collect())
-            .collect();
-        let tail: Vec<u64> = (0..(PERIOD - 600) as u64)
-            .map(|i| (i * 31) % 1_009)
-            .collect();
-        let mut reference = QloveShard::new(&cfg);
-        for batch in &replayed {
-            reference.push_batch(batch);
-        }
-        reference.push_batch(&tail);
-        let want = reference.take_summary();
-
-        for mode in ["remap", "replay"] {
-            let pass = || -> std::io::Result<(u64, bool)> {
-                let base = fresh_shm_base("ckpt");
-                let spawn_worker = |base: &std::path::Path| {
-                    Listener::bind(&Endpoint::Shm(base.to_path_buf())).map(|listener| {
-                        std::thread::spawn(move || {
-                            let conn = listener.accept()?;
-                            serve_stream(conn)
-                        })
-                    })
-                };
-                type Wire = (FrameReader<std::io::BufReader<Conn>>, FrameWriter<Conn>);
-                let handshake = |conn: Conn| -> std::io::Result<Wire> {
-                    let read_half = conn.try_clone()?;
-                    let mut reader = FrameReader::new(std::io::BufReader::new(read_half));
-                    let mut writer = FrameWriter::new(conn);
-                    writer.write_frame(&Frame::Hello {
-                        version: PROTOCOL_VERSION,
-                        role: Role::Coordinator,
-                    })?;
-                    writer.flush()?;
-                    reader.read_frame()?; // worker hello
-                    writer.write_frame(&Frame::OpenSession {
-                        session: 0,
-                        config: cfg.clone(),
-                        mode: WorkerMode::Shard,
-                    })?;
-                    Ok((reader, writer))
-                };
-
-                // Incarnation 1: sub-window 0, a checkpointed prefix of
-                // sub-window 1, then a severed connection.
-                let first = spawn_worker(&base)?;
-                {
-                    let conn = Conn::connect(&Endpoint::Shm(base.clone()))?;
-                    let (mut reader, mut writer) = handshake(conn)?;
-                    writer.write_frame(&Frame::EventBatch {
-                        session: 0,
-                        values: sub0.clone(),
-                    })?;
-                    writer.write_frame(&Frame::Boundary {
-                        session: 0,
-                        boundary: 0,
-                    })?;
-                    writer.flush()?;
-                    reader.read_frame()?; // boundary-0 summary
-                    for batch in &replayed {
-                        writer.write_frame(&Frame::EventBatch {
-                            session: 0,
-                            values: batch.clone(),
-                        })?;
-                    }
-                    writer.flush()?;
-                    // Let the worker drain the queue into the mmap
-                    // checkpoint; correctness never depends on how much
-                    // it absorbs (the header records exactly that).
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                first.join().expect("first worker thread").ok();
-
-                // Incarnation 2: same base → remap + skip; fresh base →
-                // no stash, classic full replay.
-                let restore_base = match mode {
-                    "remap" => base.clone(),
-                    _ => fresh_shm_base("ckpt"),
-                };
-                let second = spawn_worker(&restore_base)?;
-                let conn = Conn::connect(&Endpoint::Shm(restore_base.clone()))?;
-                let (mut reader, mut writer) = handshake(conn)?;
-                let start = Instant::now();
-                writer.write_frame(&Frame::Restore {
-                    session: 0,
-                    boundary: 1,
-                    checkpoint: QloveSummary::default(),
-                })?;
-                for batch in &replayed {
-                    writer.write_frame(&Frame::EventBatch {
-                        session: 0,
-                        values: batch.clone(),
-                    })?;
-                }
-                writer.write_frame(&Frame::EventBatch {
-                    session: 0,
-                    values: tail.clone(),
-                })?;
-                writer.write_frame(&Frame::Boundary {
-                    session: 0,
-                    boundary: 1,
-                })?;
-                writer.write_frame(&Frame::Shutdown)?;
-                writer.flush()?;
-                let Frame::BoundarySummary { summary, .. } = reader.read_frame()? else {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "expected boundary-1 summary",
-                    ));
-                };
-                let restore_us = start.elapsed().as_micros() as u64;
-                reader.read_frame()?; // shutdown ack
-                second.join().expect("second worker thread").ok();
-                scrub_shm_base(&base);
-                scrub_shm_base(&restore_base);
-                Ok((restore_us, summary == want))
-            };
-            let (restore_us, matches) = pass().expect("checkpoint-recovery pass");
-            eprintln!(
-                "ckpt recovery {mode:>6}: restore {restore_us:6} µs  \
-                 ({} replayed frames)  answers_match={matches}",
-                replayed.len()
-            );
-            out.push(CheckpointRecoveryRow {
-                mode,
-                restore_us,
-                replayed_frames: replayed.len(),
-                matches,
-            });
-        }
-    }
-}
-
 /// One live-reshard measurement (report-only, like `recovery`): the
 /// dealer's ingest pause, the swap's control-frame and checkpoint
 /// footprint, and — on the kill pass — the frames replayed to carry
@@ -1217,12 +982,6 @@ fn main() {
     let mut recovery_rows: Vec<RecoveryRow> = Vec::new();
     measure_recovery(&data, 3, &mut recovery_rows);
 
-    // Checkpoint-recovery timing: mmap remap-restore vs classic full
-    // replay on the shm data plane. Report-only (see
-    // `CheckpointRecoveryRow`).
-    let mut ckpt_recovery_rows: Vec<CheckpointRecoveryRow> = Vec::new();
-    measure_checkpoint_recovery(&mut ckpt_recovery_rows);
-
     // Live-resharding swap costs (split / merge / split under a
     // mid-swap crash). Report-only, like `recovery`: the swap is off
     // the steady-state hot path, so the gate never reads the section.
@@ -1400,21 +1159,6 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"checkpoint_recovery\": [");
-    for (i, row) in ckpt_recovery_rows.iter().enumerate() {
-        let comma = if i + 1 < ckpt_recovery_rows.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"mode\": \"{}\", \"restore_us\": {}, \"replayed_frames\": {}, \
-             \"answers_match_sequential\": {}}}{comma}",
-            row.mode, row.restore_us, row.replayed_frames, row.matches
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"reshard\": [");
     for (i, row) in reshard_rows.iter().enumerate() {
         let comma = if i + 1 < reshard_rows.len() { "," } else { "" };
@@ -1485,7 +1229,6 @@ fn main() {
         || telemetry_rows.iter().any(|r| !r.matches)
         || sessions_rows.iter().any(|r| !r.matches)
         || recovery_rows.iter().any(|r| !r.matches)
-        || ckpt_recovery_rows.iter().any(|r| !r.matches)
         || reshard_rows.iter().any(|r| !r.matches)
     {
         eprintln!("bench_merge: distributed answers diverged from sequential");

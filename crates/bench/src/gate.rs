@@ -287,11 +287,8 @@ fn row_key(row: &Json, fields: &[&str]) -> String {
 /// `recovery` section (supervised-recovery detect/restore/replay
 /// costs from an injected worker crash) is report-only by the same
 /// design: recovery is off the failure-free hot path, so its timings
-/// must never wedge a perf gate that exists to protect that path —
-/// and `checkpoint_recovery` (mmap remap-restore vs classic replay on
-/// the shm data plane) is report-only for exactly the same reason,
-/// while the shm *throughput* rows in `transport[]` stay gated like
-/// uds/tcp. The `telemetry_overhead` section (the instrumented vs
+/// must never wedge a perf gate that exists to protect that path.
+/// The `telemetry_overhead` section (the instrumented vs
 /// uninstrumented twin of a transport row) is report-only too: the
 /// instrumented run already IS the gated configuration — metrics are
 /// on by default in every gated transport row — so gating the twin
@@ -666,63 +663,6 @@ mod tests {
           ]
         }"#;
         let metrics = extract_metrics(&parse_json(with_reshard).unwrap());
-        assert_eq!(metrics.len(), 1);
-        assert!(metrics[0].name.starts_with("merge/transport"));
-    }
-
-    #[test]
-    fn shm_transport_rows_are_gated_like_uds_and_tcp() {
-        // The shm data plane's throughput rows must sit under the same
-        // ±25% higher-is-better gate as the socket transports: the
-        // whole point of the zero-copy ring is closing the socket tax,
-        // and an ungated row could silently give that win back.
-        let with_shm = r#"{
-          "experiment": "merge",
-          "transport": [
-            {"transport": "uds", "shards": 2, "melems_per_sec": 42.0, "answers_match_sequential": true},
-            {"transport": "shm", "shards": 2, "melems_per_sec": 70.0, "answers_match_sequential": true}
-          ]
-        }"#;
-        let metrics = extract_metrics(&parse_json(with_shm).unwrap());
-        let shm = metrics
-            .iter()
-            .find(|m| m.name == "merge/transport/transport=shm/shards=2")
-            .expect("shm transport row must be a gated metric");
-        assert_eq!(shm.direction, Direction::HigherIsBetter);
-        assert_eq!(shm.value, 70.0);
-        // A beyond-tolerance collapse of only the shm row fails the
-        // gate, exactly like a uds/tcp regression would.
-        let degraded = r#"{
-          "experiment": "merge",
-          "transport": [
-            {"transport": "uds", "shards": 2, "melems_per_sec": 42.0, "answers_match_sequential": true},
-            {"transport": "shm", "shards": 2, "melems_per_sec": 40.0, "answers_match_sequential": true}
-          ]
-        }"#;
-        let report = gate(with_shm, degraded);
-        assert!(!report.passed());
-        let names: Vec<&str> = report.regressions().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["merge/transport/transport=shm/shards=2"]);
-    }
-
-    #[test]
-    fn checkpoint_recovery_rows_are_recorded_but_not_gated() {
-        // Remap-vs-replay restore timings ride in the artifact for
-        // observability, but restore — like `recovery` — is off the
-        // failure-free hot path: the gate must never read the section,
-        // so a slow restore can't flip the perf verdict. The shm
-        // throughput rows in `transport[]` stay gated instead.
-        let with_ckpt = r#"{
-          "experiment": "merge",
-          "checkpoint_recovery": [
-            {"mode": "remap", "restore_us": 350, "replayed_frames": 12, "answers_match_sequential": true},
-            {"mode": "replay", "restore_us": 900, "replayed_frames": 12, "answers_match_sequential": true}
-          ],
-          "transport": [
-            {"transport": "shm", "shards": 2, "melems_per_sec": 70.0, "answers_match_sequential": true}
-          ]
-        }"#;
-        let metrics = extract_metrics(&parse_json(with_ckpt).unwrap());
         assert_eq!(metrics.len(), 1);
         assert!(metrics[0].name.starts_with("merge/transport"));
     }

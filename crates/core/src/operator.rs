@@ -311,29 +311,6 @@ impl QloveShard {
         }
     }
 
-    /// Build a shard for `config` over a caller-provided Level-1 store
-    /// — the hook the transport worker uses to swap in an mmap-backed
-    /// dense store so shard state doubles as a crash checkpoint. The
-    /// store must be empty and use the backend/precision `config`
-    /// selects; summaries stay bit-identical by the backend-equivalence
-    /// contract.
-    pub fn with_store(config: &QloveConfig, store: FreqStoreImpl) -> Self {
-        config.validate();
-        debug_assert!(store.is_empty(), "shard stores start empty");
-        Self {
-            store,
-            sig_digits: config.sig_digits,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Direct access to the Level-1 store, for executors that manage
-    /// store-level concerns the shard API does not cover (checkpoint
-    /// begin/commit brackets around mutation bursts).
-    pub fn store_mut(&mut self) -> &mut FreqStoreImpl {
-        &mut self.store
-    }
-
     /// Accumulate one element.
     pub fn push(&mut self, value: u64) {
         let v = match self.sig_digits {

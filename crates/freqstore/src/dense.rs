@@ -1,10 +1,6 @@
 //! The flat direct-indexed frequency store for quantized key domains.
 
 use crate::{FreqStore, RemoveError};
-use qlove_shm::{CheckpointFile, CKPT_MAGIC, CKPT_VERSION};
-use std::io;
-use std::path::Path;
-use std::sync::atomic::{compiler_fence, Ordering};
 
 /// Slots per maintained block sum. 64 keeps one block of counts inside
 /// a cache line pair while making the block array small enough (a few
@@ -76,87 +72,14 @@ pub struct DenseFreqStore {
     /// Hard cap on the index domain (`base + (20−d)·span`): `u64::MAX`
     /// has 20 digits, so no key encodes past this.
     max_slots: usize,
-    /// The count and block-sum arrays — heap vectors or a mapped
-    /// checkpoint slab; see [`Slab`].
-    slab: Slab,
+    /// Frequency per encoded key, grown lazily toward `max_slots` in
+    /// [`BLOCK`] multiples.
+    counts: Vec<u64>,
+    /// Sum of each `BLOCK`-slot run of `counts`, maintained on every
+    /// mutation; doubles as an occupancy map for scans and `clear`.
+    blocks: Vec<u64>,
     total: u64,
     unique: usize,
-}
-
-/// Storage for the count and block-sum arrays.
-///
-/// * `Heap` — the original lazily-grown vectors (counts grow toward
-///   `max_slots` in [`BLOCK`] multiples; `blocks[b]` sums
-///   `counts[b·BLOCK..(b+1)·BLOCK]`).
-/// * `Map` — both arrays live in a [`CheckpointFile`] slab at full
-///   domain capacity (`counts_cap` words of counts, then the block
-///   sums), so a boundary checkpoint is an `msync` and recovery is a
-///   remap plus validation. The domain is bounded (≈ 130 KB at the
-///   paper's `d = 3`), so pre-allocating it costs what the heap mode's
-///   high-water mark would reach anyway.
-enum Slab {
-    Heap {
-        counts: Vec<u64>,
-        blocks: Vec<u64>,
-    },
-    Map {
-        file: CheckpointFile,
-        counts_cap: usize,
-    },
-}
-
-impl Slab {
-    fn counts(&self) -> &[u64] {
-        match self {
-            Slab::Heap { counts, .. } => counts,
-            Slab::Map { file, counts_cap } => &file.data()[..*counts_cap],
-        }
-    }
-
-    fn blocks(&self) -> &[u64] {
-        match self {
-            Slab::Heap { blocks, .. } => blocks,
-            Slab::Map { file, counts_cap } => &file.data()[*counts_cap..],
-        }
-    }
-
-    fn parts_mut(&mut self) -> (&mut [u64], &mut [u64]) {
-        match self {
-            Slab::Heap { counts, blocks } => (counts.as_mut_slice(), blocks.as_mut_slice()),
-            Slab::Map { file, counts_cap } => file.data_mut().split_at_mut(*counts_cap),
-        }
-    }
-}
-
-impl Clone for Slab {
-    /// A mapped slab clones to a plain heap snapshot — the clone is an
-    /// independent in-memory store, never a second owner of the file.
-    fn clone(&self) -> Self {
-        match self {
-            Slab::Heap { counts, blocks } => Slab::Heap {
-                counts: counts.clone(),
-                blocks: blocks.clone(),
-            },
-            Slab::Map { .. } => Slab::Heap {
-                counts: self.counts().to_vec(),
-                blocks: self.blocks().to_vec(),
-            },
-        }
-    }
-}
-
-impl std::fmt::Debug for Slab {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Slab::Heap { counts, .. } => write!(f, "Slab::Heap({} slots)", counts.len()),
-            Slab::Map { file, counts_cap } => write!(
-                f,
-                "Slab::Map({} slots @ {:?})",
-                counts_cap,
-                file.path().unwrap_or_else(|| Path::new("<anon>"))
-            ),
-        }
-    }
 }
 
 impl DenseFreqStore {
@@ -173,27 +96,6 @@ impl DenseFreqStore {
     /// # Panics
     /// Panics unless `1 ≤ sig_digits ≤` [`DenseFreqStore::MAX_SIG_DIGITS`].
     pub fn new(sig_digits: u32) -> Self {
-        let (base, span, max_slots) = Self::geometry(sig_digits);
-        Self {
-            sig_digits,
-            base,
-            span,
-            max_slots,
-            slab: Slab::Heap {
-                counts: Vec::new(),
-                blocks: Vec::new(),
-            },
-            total: 0,
-            unique: 0,
-        }
-    }
-
-    /// `(base, span, max_slots)` for a precision, shared by every
-    /// constructor.
-    ///
-    /// # Panics
-    /// Panics unless `1 ≤ sig_digits ≤` [`DenseFreqStore::MAX_SIG_DIGITS`].
-    fn geometry(sig_digits: u32) -> (u64, usize, usize) {
         assert!(
             (1..=Self::MAX_SIG_DIGITS).contains(&sig_digits),
             "dense store supports 1–{} significant digits, got {sig_digits}",
@@ -202,195 +104,15 @@ impl DenseFreqStore {
         let base = POW10[sig_digits as usize];
         let span = (9 * POW10[sig_digits as usize - 1]) as usize;
         let max_slots = base as usize + (20 - sig_digits as usize) * span;
-        (base, span, max_slots)
-    }
-
-    /// Full-domain slab capacities for a precision:
-    /// `(counts_cap, blocks_cap)`, both already `BLOCK`-aligned.
-    fn slab_caps(sig_digits: u32) -> (usize, usize) {
-        let (_, _, max_slots) = Self::geometry(sig_digits);
-        let counts_cap = max_slots.next_multiple_of(BLOCK);
-        (counts_cap, counts_cap / BLOCK)
-    }
-
-    /// Empty store whose slab lives in a freshly created (truncated)
-    /// checkpoint file at `path`, pre-sized to the full quantized
-    /// domain. Same semantics as [`DenseFreqStore::new`] plus the
-    /// checkpoint API ([`Self::checkpoint_begin`] /
-    /// [`Self::checkpoint_commit`] / [`Self::msync`]).
-    ///
-    /// # Panics
-    /// As [`DenseFreqStore::new`], on an out-of-range precision.
-    pub fn new_mapped(sig_digits: u32, path: &Path) -> io::Result<Self> {
-        let (counts_cap, blocks_cap) = Self::slab_caps(sig_digits);
-        let file = CheckpointFile::create(path, counts_cap + blocks_cap)?;
-        Self::init_mapped(sig_digits, file, counts_cap)
-    }
-
-    /// [`Self::new_mapped`] over an anonymous in-memory checkpoint —
-    /// the layout and seqlock logic without the filesystem, for tests
-    /// and Miri.
-    pub fn new_mapped_anon(sig_digits: u32) -> io::Result<Self> {
-        let (counts_cap, blocks_cap) = Self::slab_caps(sig_digits);
-        let file = CheckpointFile::anon(counts_cap + blocks_cap)?;
-        Self::init_mapped(sig_digits, file, counts_cap)
-    }
-
-    fn init_mapped(
-        sig_digits: u32,
-        mut file: CheckpointFile,
-        counts_cap: usize,
-    ) -> io::Result<Self> {
-        let (base, span, max_slots) = Self::geometry(sig_digits);
-        let hdr = file.header_mut();
-        hdr.sig_digits = sig_digits as u64;
-        hdr.len = counts_cap as u64;
-        hdr.blocks_off = counts_cap as u64;
-        Ok(Self {
+        Self {
             sig_digits,
             base,
             span,
             max_slots,
-            slab: Slab::Map { file, counts_cap },
+            counts: Vec::new(),
+            blocks: Vec::new(),
             total: 0,
             unique: 0,
-        })
-    }
-
-    /// Remap an existing checkpoint file as a live store — the
-    /// crash-recovery path: a respawned same-host worker revalidates
-    /// the header and slab instead of replaying QLVS frames.
-    ///
-    /// Rejects (with `InvalidData`) a checkpoint whose magic, version,
-    /// precision, or geometry disagree, whose sequence word is odd (the
-    /// writer died mid-burst — its contents cannot be trusted), or
-    /// whose slab fails the full invariant walk. A rejected checkpoint
-    /// falls back to replay; it never panics and never produces a
-    /// half-trusted store.
-    #[cfg(all(unix, not(miri)))]
-    pub fn open_mapped(sig_digits: u32, path: &Path) -> io::Result<Self> {
-        Self::from_checkpoint(sig_digits, CheckpointFile::open(path)?)
-    }
-
-    /// The validation core of [`Self::open_mapped`], split out so it
-    /// runs under Miri over anonymous checkpoints.
-    pub fn from_checkpoint(sig_digits: u32, file: CheckpointFile) -> io::Result<Self> {
-        let (base, span, max_slots) = Self::geometry(sig_digits);
-        let (counts_cap, blocks_cap) = Self::slab_caps(sig_digits);
-        let hdr = *file.header();
-        // CheckpointFile::validate checked magic/version/offsets
-        // structurally, but an adopted anonymous file (the Miri path)
-        // arrives unvalidated — recheck everything semantic here.
-        if hdr.magic != CKPT_MAGIC || hdr.version != CKPT_VERSION {
-            return Err(bad_ckpt("checkpoint magic/version mismatch"));
-        }
-        if hdr.sig_digits != sig_digits as u64 {
-            return Err(bad_ckpt(
-                "checkpoint precision does not match configuration",
-            ));
-        }
-        if hdr.seq % 2 == 1 {
-            return Err(bad_ckpt("checkpoint torn: writer died mid-burst"));
-        }
-        if hdr.len != counts_cap as u64
-            || hdr.blocks_off != counts_cap as u64
-            || file.data_words() != counts_cap + blocks_cap
-        {
-            return Err(bad_ckpt("checkpoint slab geometry mismatch"));
-        }
-        if hdr.unique > counts_cap as u64 {
-            return Err(bad_ckpt("checkpoint unique count exceeds domain"));
-        }
-        let store = Self {
-            sig_digits,
-            base,
-            span,
-            max_slots,
-            slab: Slab::Map { file, counts_cap },
-            total: hdr.total,
-            unique: hdr.unique as usize,
-        };
-        // Full invariant walk: block sums, total, unique must all agree
-        // with the slab contents. O(domain) ≈ 16k words at d = 3.
-        store.validate().map_err(|e| bad_ckpt(&e))?;
-        Ok(store)
-    }
-
-    /// Whether the slab is checkpoint-backed.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.slab, Slab::Map { .. })
-    }
-
-    /// Path of the backing checkpoint file, if any.
-    pub fn checkpoint_path(&self) -> Option<&Path> {
-        match &self.slab {
-            Slab::Map { file, .. } => file.path(),
-            Slab::Heap { .. } => None,
-        }
-    }
-
-    /// Mark the checkpoint dirty (sequence word odd) before a mutation
-    /// burst. A process that dies between `begin` and
-    /// [`Self::checkpoint_commit`] leaves an odd sequence word, which
-    /// [`Self::open_mapped`] rejects — the recovery path then replays
-    /// instead of trusting torn state. No-op for heap slabs.
-    pub fn checkpoint_begin(&mut self) {
-        if let Slab::Map { file, .. } = &mut self.slab {
-            let hdr = file.header_mut();
-            hdr.seq |= 1;
-            // Single-owner file: ordering against our own later stores
-            // only needs to survive compiler reordering (the page cache
-            // gives the successor process one coherent view).
-            compiler_fence(Ordering::SeqCst);
-        }
-    }
-
-    /// Publish a consistent checkpoint: refresh the header summary
-    /// fields and flip the sequence word back to even. `boundary` and
-    /// `batches` record replay progress for the recovery protocol
-    /// (batches applied since the last boundary). No-op for heap slabs.
-    pub fn checkpoint_commit(&mut self, boundary: u64, batches: u64) {
-        let (total, unique) = (self.total, self.unique as u64);
-        if let Slab::Map { file, .. } = &mut self.slab {
-            compiler_fence(Ordering::SeqCst);
-            let hdr = file.header_mut();
-            hdr.total = total;
-            hdr.unique = unique;
-            hdr.boundary = boundary;
-            hdr.batches = batches;
-            compiler_fence(Ordering::SeqCst);
-            hdr.seq = (hdr.seq | 1) + 1;
-        }
-    }
-
-    /// `(boundary, batches)` recorded by the last
-    /// [`Self::checkpoint_commit`]; `None` for heap slabs.
-    pub fn checkpoint_state(&self) -> Option<(u64, u64)> {
-        match &self.slab {
-            Slab::Map { file, .. } => {
-                let hdr = file.header();
-                Some((hdr.boundary, hdr.batches))
-            }
-            Slab::Heap { .. } => None,
-        }
-    }
-
-    /// Flush a mapped slab to its file (durability at a boundary);
-    /// no-op for heap slabs.
-    pub fn msync(&self) -> io::Result<()> {
-        match &self.slab {
-            Slab::Map { file, .. } => file.msync(),
-            Slab::Heap { .. } => Ok(()),
-        }
-    }
-
-    /// Surrender the backing checkpoint, consuming the store — test
-    /// support for exercising [`Self::from_checkpoint`] on anonymous
-    /// slabs that have no path to reopen.
-    pub fn into_checkpoint(self) -> Option<CheckpointFile> {
-        match self.slab {
-            Slab::Map { file, .. } => Some(file),
-            Slab::Heap { .. } => None,
         }
     }
 
@@ -431,23 +153,15 @@ impl DenseFreqStore {
     }
 
     /// Grow `counts`/`blocks` to cover `idx` (in `BLOCK` multiples).
-    /// Mapped slabs are pre-sized to the full domain, so only the heap
-    /// mode ever grows.
     #[inline]
     fn ensure(&mut self, idx: usize) {
         debug_assert!(idx < self.max_slots);
-        match &mut self.slab {
-            Slab::Heap { counts, blocks } => {
-                if idx < counts.len() {
-                    return;
-                }
-                let len =
-                    ((idx + 1).div_ceil(BLOCK) * BLOCK).min(self.max_slots.next_multiple_of(BLOCK));
-                counts.resize(len, 0);
-                blocks.resize(len.div_ceil(BLOCK), 0);
-            }
-            Slab::Map { counts_cap, .. } => debug_assert!(idx < *counts_cap),
+        if idx < self.counts.len() {
+            return;
         }
+        let len = ((idx + 1).div_ceil(BLOCK) * BLOCK).min(self.max_slots.next_multiple_of(BLOCK));
+        self.counts.resize(len, 0);
+        self.blocks.resize(len.div_ceil(BLOCK), 0);
     }
 
     /// Add one occurrence of every element of `values` — the batched
@@ -493,7 +207,7 @@ impl DenseFreqStore {
         };
         self.ensure(self.index_of(last_key));
         let (base, span) = (self.base, self.span);
-        let (counts, blocks) = self.slab.parts_mut();
+        let (counts, blocks) = (&mut self.counts, &mut self.blocks);
         let mut total_added = 0u64;
         let mut unique_added = 0usize;
         // Current decade: e = 0 covers keys below `base` (direct
@@ -568,22 +282,19 @@ impl DenseFreqStore {
             self.sig_digits, other.sig_digits,
             "cannot merge dense stores of different precision"
         );
-        let other_counts = other.slab.counts();
-        let other_blocks = other.slab.blocks();
-        let n = other_counts.len();
+        let n = other.counts.len();
         if n == 0 {
             return;
         }
-        // A mapped `other` is BLOCK-rounded above the domain bound;
+        // A full-grown `other` is BLOCK-rounded above the domain bound;
         // clamping still grows to the same rounded length.
         self.ensure((n - 1).min(self.max_slots - 1));
-        let (counts, blocks) = self.slab.parts_mut();
         let mut unique_added = 0usize;
-        for (a, &b) in counts[..n].iter_mut().zip(other_counts) {
+        for (a, &b) in self.counts[..n].iter_mut().zip(&other.counts) {
             unique_added += usize::from(*a == 0 && b != 0);
             *a += b;
         }
-        for (a, &b) in blocks.iter_mut().zip(other_blocks) {
+        for (a, &b) in self.blocks.iter_mut().zip(&other.blocks) {
             *a += b;
         }
         self.unique += unique_added;
@@ -593,14 +304,15 @@ impl DenseFreqStore {
     /// Walk every invariant (block sums, total, unique count) — test
     /// support, O(slots).
     pub fn validate(&self) -> Result<(), String> {
-        let counts = self.slab.counts();
-        let blocks = self.slab.blocks();
         let mut total = 0u64;
         let mut unique = 0usize;
-        for (b, chunk) in counts.chunks(BLOCK).enumerate() {
+        for (b, chunk) in self.counts.chunks(BLOCK).enumerate() {
             let sum: u64 = chunk.iter().sum();
-            if sum != blocks[b] {
-                return Err(format!("block {b}: stored {} vs walked {sum}", blocks[b]));
+            if sum != self.blocks[b] {
+                return Err(format!(
+                    "block {b}: stored {} vs walked {sum}",
+                    self.blocks[b]
+                ));
             }
             total += sum;
             unique += chunk.iter().filter(|&&c| c != 0).count();
@@ -622,10 +334,9 @@ impl FreqStore for DenseFreqStore {
         }
         let idx = self.index_of(key);
         self.ensure(idx);
-        let (counts, blocks) = self.slab.parts_mut();
-        let newly_occupied = counts[idx] == 0;
-        counts[idx] += freq;
-        blocks[idx / BLOCK] += freq;
+        let newly_occupied = self.counts[idx] == 0;
+        self.counts[idx] += freq;
+        self.blocks[idx / BLOCK] += freq;
         self.unique += usize::from(newly_occupied);
         self.total += freq;
     }
@@ -639,20 +350,18 @@ impl FreqStore for DenseFreqStore {
             return Ok(());
         }
         let idx = self.index_of(key);
-        let stored_key = self.value_of(idx);
-        let (counts, blocks) = self.slab.parts_mut();
         // Exact-match semantics: a key this store would quantize away
         // (`quantize(key) != key`) is by construction never stored.
-        if idx >= counts.len() || counts[idx] == 0 || stored_key != key {
+        if idx >= self.counts.len() || self.counts[idx] == 0 || self.value_of(idx) != key {
             return Err(RemoveError::KeyNotFound);
         }
-        let available = counts[idx];
+        let available = self.counts[idx];
         if freq > available {
             return Err(RemoveError::InsufficientCount { available });
         }
-        counts[idx] -= freq;
-        blocks[idx / BLOCK] -= freq;
-        let emptied = counts[idx] == 0;
+        self.counts[idx] -= freq;
+        self.blocks[idx / BLOCK] -= freq;
+        let emptied = self.counts[idx] == 0;
         self.total -= freq;
         self.unique -= usize::from(emptied);
         Ok(())
@@ -669,10 +378,9 @@ impl FreqStore for DenseFreqStore {
     fn clear(&mut self) {
         // Zero only occupied blocks (the block sums are an occupancy
         // map), so the boundary reset costs O(live data), not O(domain).
-        let (counts, blocks) = self.slab.parts_mut();
-        for (b, sum) in blocks.iter_mut().enumerate() {
+        for (b, sum) in self.blocks.iter_mut().enumerate() {
             if *sum != 0 {
-                counts[b * BLOCK..(b + 1) * BLOCK].fill(0);
+                self.counts[b * BLOCK..(b + 1) * BLOCK].fill(0);
                 *sum = 0;
             }
         }
@@ -682,9 +390,8 @@ impl FreqStore for DenseFreqStore {
 
     fn count_of(&self, key: u64) -> u64 {
         let idx = self.index_of(key);
-        let counts = self.slab.counts();
-        if idx < counts.len() && self.value_of(idx) == key {
-            counts[idx]
+        if idx < self.counts.len() && self.value_of(idx) == key {
+            self.counts[idx]
         } else {
             0
         }
@@ -694,14 +401,13 @@ impl FreqStore for DenseFreqStore {
         if r == 0 || r > self.total {
             return None;
         }
-        let counts = self.slab.counts();
         let mut acc = 0u64;
-        for (b, &bsum) in self.slab.blocks().iter().enumerate() {
+        for (b, &bsum) in self.blocks.iter().enumerate() {
             if acc + bsum < r {
                 acc += bsum;
                 continue;
             }
-            for (off, &c) in counts[b * BLOCK..(b + 1) * BLOCK].iter().enumerate() {
+            for (off, &c) in self.counts[b * BLOCK..(b + 1) * BLOCK].iter().enumerate() {
                 acc += c;
                 if acc >= r {
                     return Some(self.value_of(b * BLOCK + off));
@@ -712,14 +418,12 @@ impl FreqStore for DenseFreqStore {
     }
 
     fn rank_of(&self, key: u64) -> u64 {
-        let counts = self.slab.counts();
-        let blocks = self.slab.blocks();
         // Everything in slots ≤ index_of(key) is ≤ quantize(key) ≤ key;
         // the next occupied slot decodes strictly above key (the next
         // quantized value is quantize(key) + its unit > key).
-        let end = (self.index_of(key) + 1).min(counts.len());
+        let end = (self.index_of(key) + 1).min(self.counts.len());
         let full = end / BLOCK;
-        blocks[..full].iter().sum::<u64>() + counts[full * BLOCK..end].iter().sum::<u64>()
+        self.blocks[..full].iter().sum::<u64>() + self.counts[full * BLOCK..end].iter().sum::<u64>()
     }
 
     fn quantile(&self, phi: f64) -> Option<u64> {
@@ -745,15 +449,14 @@ impl FreqStore for DenseFreqStore {
             .map(|&i| ((phis[i] * self.total as f64).ceil() as u64).clamp(1, self.total))
             .collect();
         out.resize(phis.len(), 0);
-        let counts = self.slab.counts();
         let mut next = 0usize;
         let mut running = 0u64;
-        'outer: for (b, &bsum) in self.slab.blocks().iter().enumerate() {
+        'outer: for (b, &bsum) in self.blocks.iter().enumerate() {
             if bsum == 0 || running + bsum < ranks[next] {
                 running += bsum;
                 continue;
             }
-            for (off, &c) in counts[b * BLOCK..(b + 1) * BLOCK].iter().enumerate() {
+            for (off, &c) in self.counts[b * BLOCK..(b + 1) * BLOCK].iter().enumerate() {
                 if c == 0 {
                     continue;
                 }
@@ -776,14 +479,12 @@ impl FreqStore for DenseFreqStore {
         if k == 0 {
             return;
         }
-        let counts = self.slab.counts();
-        let blocks = self.slab.blocks();
-        for b in (0..blocks.len()).rev() {
-            if blocks[b] == 0 {
+        for b in (0..self.blocks.len()).rev() {
+            if self.blocks[b] == 0 {
                 continue;
             }
             for idx in (b * BLOCK..(b + 1) * BLOCK).rev() {
-                let mut c = counts[idx];
+                let mut c = self.counts[idx];
                 if c == 0 {
                     continue;
                 }
@@ -800,29 +501,26 @@ impl FreqStore for DenseFreqStore {
     }
 
     fn min_key(&self) -> Option<u64> {
-        let counts = self.slab.counts();
-        let b = self.slab.blocks().iter().position(|&s| s != 0)?;
+        let b = self.blocks.iter().position(|&s| s != 0)?;
         (b * BLOCK..(b + 1) * BLOCK)
-            .find(|&i| counts[i] != 0)
+            .find(|&i| self.counts[i] != 0)
             .map(|i| self.value_of(i))
     }
 
     fn max_key(&self) -> Option<u64> {
-        let counts = self.slab.counts();
-        let b = self.slab.blocks().iter().rposition(|&s| s != 0)?;
+        let b = self.blocks.iter().rposition(|&s| s != 0)?;
         (b * BLOCK..(b + 1) * BLOCK)
             .rev()
-            .find(|&i| counts[i] != 0)
+            .find(|&i| self.counts[i] != 0)
             .map(|i| self.value_of(i))
     }
 
     fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        let counts = self.slab.counts();
-        for (b, &bsum) in self.slab.blocks().iter().enumerate() {
+        for (b, &bsum) in self.blocks.iter().enumerate() {
             if bsum == 0 {
                 continue;
             }
-            for (off, &c) in counts[b * BLOCK..(b + 1) * BLOCK].iter().enumerate() {
+            for (off, &c) in self.counts[b * BLOCK..(b + 1) * BLOCK].iter().enumerate() {
                 if c != 0 {
                     f(self.value_of(b * BLOCK + off), c);
                 }
@@ -831,24 +529,8 @@ impl FreqStore for DenseFreqStore {
     }
 
     fn memory_bytes(&self) -> usize {
-        match &self.slab {
-            Slab::Heap { counts, blocks } => {
-                (counts.capacity() + blocks.capacity()) * std::mem::size_of::<u64>()
-            }
-            // A mapped slab is the full fixed domain plus its header.
-            Slab::Map { file, .. } => {
-                (file.data_words() + qlove_shm::ckpt::CKPT_HEADER_WORDS)
-                    * std::mem::size_of::<u64>()
-            }
-        }
+        (self.counts.capacity() + self.blocks.capacity()) * std::mem::size_of::<u64>()
     }
-}
-
-fn bad_ckpt(msg: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("dense checkpoint: {msg}"),
-    )
 }
 
 #[cfg(test)]
@@ -1142,147 +824,6 @@ mod tests {
         assert!(!empty.quantiles_into(&[0.5], &mut buf));
         assert!(buf.is_empty());
         assert!(empty.quantiles_into(&[], &mut buf));
-    }
-
-    /// Drive identical operations through a heap store and a mapped
-    /// (anonymous, Miri-runnable) store: every observable must agree.
-    #[test]
-    fn mapped_store_matches_heap_store() {
-        let mut heap = DenseFreqStore::new(3);
-        let mut mapped = DenseFreqStore::new_mapped_anon(3).unwrap();
-        assert!(mapped.is_mapped());
-        assert!(!heap.is_mapped());
-        let keys: Vec<u64> = (0..3_000u64)
-            .map(|i| (i * 2654435761) % 10_000_000)
-            .collect();
-        for s in [&mut heap, &mut mapped] {
-            s.insert_slice(&keys);
-            s.extend_sorted_counts(&[(5, 2), (1_000_000, 1), (18_400_000_000_000_000_000, 3)]);
-            s.remove(s.quantize(keys[7]), 1).unwrap();
-        }
-        heap.validate().unwrap();
-        mapped.validate().unwrap();
-        assert_eq!(heap.total(), mapped.total());
-        assert_eq!(heap.unique_len(), mapped.unique_len());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        heap.counts_into(&mut a);
-        mapped.counts_into(&mut b);
-        assert_eq!(a, b);
-        for phi in [0.0, 0.1, 0.5, 0.9, 0.999] {
-            assert_eq!(heap.quantile(phi), mapped.quantile(phi), "phi {phi}");
-        }
-        assert_eq!(heap.min_key(), mapped.min_key());
-        assert_eq!(heap.max_key(), mapped.max_key());
-        // merge_from across slab modes, both directions.
-        let mut h2 = heap.clone();
-        h2.merge_from(&mapped);
-        let mut m2 = DenseFreqStore::new_mapped_anon(3).unwrap();
-        m2.merge_from(&heap);
-        m2.merge_from(&heap);
-        m2.validate().unwrap();
-        assert_eq!(h2.total(), m2.total());
-        let (mut c, mut d) = (Vec::new(), Vec::new());
-        h2.counts_into(&mut c);
-        m2.counts_into(&mut d);
-        assert_eq!(c, d);
-        // A clone of a mapped store is an independent heap snapshot.
-        let snap = mapped.clone();
-        assert!(!snap.is_mapped());
-        assert_eq!(snap.total(), mapped.total());
-        // Boundary reset works in place.
-        mapped.clear();
-        mapped.validate().unwrap();
-        assert!(mapped.is_empty());
-        mapped.insert(42, 1);
-        assert_eq!(mapped.quantile(0.5), Some(42));
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_restores_exact_state() {
-        let mut store = DenseFreqStore::new_mapped_anon(3).unwrap();
-        store.checkpoint_begin();
-        store.insert_slice(&[10, 10, 74_265, 999_999, 1]);
-        store.checkpoint_commit(5, 2);
-        assert_eq!(store.checkpoint_state(), Some((5, 2)));
-        store.msync().unwrap();
-        let mut expect = Vec::new();
-        store.counts_into(&mut expect);
-        let total = store.total();
-
-        let ck = store.into_checkpoint().unwrap();
-        let restored = DenseFreqStore::from_checkpoint(3, ck).unwrap();
-        assert_eq!(restored.checkpoint_state(), Some((5, 2)));
-        assert_eq!(restored.total(), total);
-        let mut got = Vec::new();
-        restored.counts_into(&mut got);
-        assert_eq!(got, expect);
-        restored.validate().unwrap();
-    }
-
-    #[test]
-    fn torn_checkpoint_is_rejected_not_trusted() {
-        let mut store = DenseFreqStore::new_mapped_anon(3).unwrap();
-        store.insert(7, 1);
-        store.checkpoint_commit(1, 0);
-        // Die mid-burst: begin without commit leaves the seq word odd.
-        store.checkpoint_begin();
-        store.insert(8, 1);
-        let ck = store.into_checkpoint().unwrap();
-        let err = DenseFreqStore::from_checkpoint(3, ck).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn corrupt_checkpoints_are_rejected() {
-        fn tamper(f: impl FnOnce(&mut CheckpointFile)) -> io::Result<DenseFreqStore> {
-            let mut store = DenseFreqStore::new_mapped_anon(3).unwrap();
-            store.insert(74_200, 3);
-            store.checkpoint_commit(1, 0);
-            let mut ck = store.into_checkpoint().unwrap();
-            f(&mut ck);
-            DenseFreqStore::from_checkpoint(3, ck)
-        }
-        assert!(tamper(|_| {}).is_ok());
-        assert!(tamper(|ck| ck.header_mut().magic = 1).is_err());
-        assert!(tamper(|ck| ck.header_mut().version = 99).is_err());
-        assert!(tamper(|ck| ck.header_mut().sig_digits = 4).is_err());
-        assert!(tamper(|ck| ck.header_mut().total = 999).is_err());
-        assert!(tamper(|ck| ck.header_mut().unique = u64::MAX).is_err());
-        assert!(tamper(|ck| ck.header_mut().len = 1).is_err());
-        // Slab corruption that leaves the header plausible: the
-        // invariant walk must catch a count/block-sum mismatch.
-        assert!(tamper(|ck| ck.data_mut()[0] = 5).is_err());
-        // Wrong-precision configuration against a valid file.
-        let mut store = DenseFreqStore::new_mapped_anon(2).unwrap();
-        store.checkpoint_commit(0, 0);
-        let ck = store.into_checkpoint().unwrap();
-        assert!(DenseFreqStore::from_checkpoint(3, ck).is_err());
-    }
-
-    #[cfg(all(unix, not(miri)))]
-    #[test]
-    fn mapped_file_survives_drop_and_reopen() {
-        let path = std::env::temp_dir().join(format!("qlove-dense-ckpt-{}", std::process::id()));
-        let mut expect = Vec::new();
-        {
-            let mut store = DenseFreqStore::new_mapped(3, &path).unwrap();
-            assert_eq!(store.checkpoint_path(), Some(path.as_path()));
-            store.checkpoint_begin();
-            store.insert_slice(&[3, 14, 15, 926, 53_500, 53_589]);
-            store.checkpoint_commit(9, 4);
-            store.msync().unwrap();
-            store.counts_into(&mut expect);
-        }
-        {
-            let store = DenseFreqStore::open_mapped(3, &path).unwrap();
-            assert_eq!(store.checkpoint_state(), Some((9, 4)));
-            let mut got = Vec::new();
-            store.counts_into(&mut got);
-            assert_eq!(got, expect);
-        }
-        // Reopening with the wrong precision must fail cleanly.
-        assert!(DenseFreqStore::open_mapped(4, &path).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -231,44 +231,6 @@ impl FreqStoreImpl {
         FreqStoreImpl::Dense(DenseFreqStore::new(sig_digits))
     }
 
-    /// Dense backend whose slab lives in a freshly created checkpoint
-    /// file at `path` — the crash-safe worker store (see
-    /// [`DenseFreqStore::new_mapped`]).
-    #[cfg(all(unix, not(miri)))]
-    pub fn dense_mapped(sig_digits: u32, path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(FreqStoreImpl::Dense(DenseFreqStore::new_mapped(
-            sig_digits, path,
-        )?))
-    }
-
-    /// Dense backend remapped from an existing checkpoint file — the
-    /// recovery path (see [`DenseFreqStore::open_mapped`]). Rejects
-    /// torn or corrupt checkpoints with `InvalidData`.
-    #[cfg(all(unix, not(miri)))]
-    pub fn dense_open_mapped(sig_digits: u32, path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(FreqStoreImpl::Dense(DenseFreqStore::open_mapped(
-            sig_digits, path,
-        )?))
-    }
-
-    /// The dense backend, when that is what this store dispatches to —
-    /// the checkpoint API ([`DenseFreqStore::checkpoint_begin`] and
-    /// friends) lives on the concrete type.
-    pub fn as_dense(&self) -> Option<&DenseFreqStore> {
-        match self {
-            FreqStoreImpl::Dense(d) => Some(d),
-            FreqStoreImpl::Tree(_) => None,
-        }
-    }
-
-    /// Mutable access to the dense backend, `None` for trees.
-    pub fn as_dense_mut(&mut self) -> Option<&mut DenseFreqStore> {
-        match self {
-            FreqStoreImpl::Dense(d) => Some(d),
-            FreqStoreImpl::Tree(_) => None,
-        }
-    }
-
     /// Multiset union: fold every `(key, frequency)` pair of `other`
     /// into this store — the distributed sub-window merge primitive.
     ///

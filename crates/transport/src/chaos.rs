@@ -321,34 +321,6 @@ pub fn interpose<I: FaultInjector>(upstream: Conn, injector: I) -> io::Result<(C
     ))
 }
 
-/// Torn-write injector for the shared-memory data plane: flips a
-/// published summary-ring slot into one of the states a worker killed
-/// (or scribbling) mid-publish can leave behind. Tests point it at a
-/// slot the coordinator is about to read and assert the seqlock
-/// validation rejects the slot — recovery replays the boundary instead
-/// of folding garbage into the window.
-#[cfg(all(unix, not(miri)))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TornWrite {
-    /// Leave the slot's seqlock odd: the publisher died between the two
-    /// sequence bumps, rows half-written.
-    MidPublish,
-    /// Scribble a row count far beyond the slot's capacity: the reader
-    /// must reject it *before* sizing any buffer from it.
-    OversizedLen,
-}
-
-#[cfg(all(unix, not(miri)))]
-impl TornWrite {
-    /// Apply this tear to `slot` of `ring`.
-    pub fn inject(self, ring: &qlove_shm::SummaryRing, slot: usize) {
-        match self {
-            TornWrite::MidPublish => ring.tear_slot(slot),
-            TornWrite::OversizedLen => ring.corrupt_len(slot, u64::MAX),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

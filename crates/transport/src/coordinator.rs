@@ -49,8 +49,6 @@
 use crate::net::Conn;
 use crate::proto::{Frame, FrameReader, FrameWriter, Role, WorkerMode, PROTOCOL_VERSION};
 use qlove_core::{Qlove, QloveAnswer, QloveConfig, QloveSummary};
-#[cfg(all(unix, not(miri)))]
-use qlove_shm::SummaryRing;
 use qlove_stream::parallel::BATCH;
 use qlove_stream::{coordinate_pipelined, PipelineStats};
 use qlove_telemetry::metrics::labeled;
@@ -58,86 +56,10 @@ use qlove_telemetry::{Counter, EventJournal, EventKind, Gauge, Stopwatch};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufReader};
-#[cfg(all(unix, not(miri)))]
-use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
-
-/// Slots in a per-connection shared-memory summary ring. The collector
-/// acknowledges each boundary before requesting the next, so a handful
-/// of slots is all the run-ahead a connection ever needs.
-pub const SHM_RING_SLOTS: usize = 4;
-/// Per-slot row capacity of a summary ring. Covers the full
-/// 3-significant-digit quantized domain (16,300 distinct values), so
-/// dense shard summaries always fit; an oversized summary falls back
-/// to the inline `BoundarySummary` frame path.
-pub const SHM_RING_CAP: usize = 16 * 1024;
-
-#[cfg(all(unix, not(miri)))]
-static RING_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// A coordinator-owned summary ring: created fresh for every
-/// (connection, attach) pair — a replacement worker never inherits a
-/// possibly-torn ring — and unlinked on drop so no map files leak
-/// across runs.
-#[cfg(all(unix, not(miri)))]
-struct CoordRing {
-    ring: SummaryRing,
-}
-
-#[cfg(all(unix, not(miri)))]
-impl CoordRing {
-    /// Create a uniquely named ring beside the worker's `shm:` base
-    /// path and announce it on `writer` with [`Frame::AttachShm`].
-    fn create_attached(base: &Path, writer: &mut FrameWriter<Conn>) -> io::Result<Self> {
-        let seq = RING_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut os = base.as_os_str().to_owned();
-        os.push(format!(".ring.{}.{}", std::process::id(), seq));
-        let path = PathBuf::from(os);
-        let ring = SummaryRing::create(&path, SHM_RING_SLOTS, SHM_RING_CAP)?;
-        writer.write_frame(&Frame::AttachShm {
-            path: path.to_string_lossy().into_owned(),
-            slots: SHM_RING_SLOTS as u64,
-            cap: SHM_RING_CAP as u64,
-        })?;
-        writer.flush()?;
-        Ok(Self { ring })
-    }
-}
-
-#[cfg(all(unix, not(miri)))]
-impl Drop for CoordRing {
-    fn drop(&mut self) {
-        if let Some(path) = self.ring.path() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// Per-shard ring holder; `None` on plain-socket connections (and the
-/// whole type degenerates on platforms without shm support).
-#[cfg(all(unix, not(miri)))]
-type RingSlot = Option<CoordRing>;
-#[cfg(not(all(unix, not(miri))))]
-type RingSlot = Option<()>;
-
-/// Create-and-attach a summary ring when `conn` is a `shm:` connection
-/// (a no-op `None` otherwise or on platforms without shm support).
-fn attach_ring(conn: &Conn, writer: &mut FrameWriter<Conn>) -> io::Result<RingSlot> {
-    #[cfg(all(unix, not(miri)))]
-    {
-        match conn.shm_base() {
-            Some(base) => Ok(Some(CoordRing::create_attached(base, writer)?)),
-            None => Ok(None),
-        }
-    }
-    #[cfg(not(all(unix, not(miri))))]
-    {
-        let _ = (conn, writer);
-        Ok(None)
-    }
-}
 
 /// How many dealt-but-unacknowledged sub-windows the replay ring holds
 /// per shard before the dealer waits for the collector to catch up.
@@ -535,20 +457,12 @@ struct ShardState {
     /// Wire session ID this shard's frames are scoped to (the shard
     /// index: each per-shard connection carries exactly one session).
     session: u64,
-    /// Whether dealt frames are retained for replay. `false` when the
-    /// policy cannot restart workers (`max_restarts == 0`): replay can
-    /// never happen, so the dealer writes straight through and the
-    /// failure-free hot path pays nothing for the ring.
-    retain: bool,
     /// Dealt frames not yet covered by a boundary acknowledgement, in
     /// deal order. On recovery this is exactly what gets replayed.
     ring: VecDeque<Frame>,
     /// `Boundary` frames currently in the ring — the dealer's run-ahead
     /// budget.
     ring_boundaries: usize,
-    /// Boundaries acknowledged so far (== the boundary index a
-    /// replacement worker must be restored to).
-    acked: u64,
     /// Live write half. `None` while the shard is down: the dealer
     /// keeps ringing frames and the collector's recovery replays them.
     writer: Option<FrameWriter<Conn>>,
@@ -557,6 +471,24 @@ struct ShardState {
 }
 
 struct ShardLink {
+    /// Whether dealt frames are retained for replay. `false` when the
+    /// policy cannot restart workers (`max_restarts == 0`): replay can
+    /// never happen, so the dealer writes straight through and the
+    /// failure-free hot path pays nothing for the ring. Immutable, and
+    /// deliberately *outside* the mutex (the `MuxLink` layout): when
+    /// `false` the collector's acknowledgements never take the lock, so
+    /// the collector keeps reading even while the dealer is blocked in
+    /// a socket write holding it. (Dealer blocked writing → collector
+    /// blocked on the lock → collector stops reading → the worker fills
+    /// its outbound buffer and stops reading its inbound → the dealer's
+    /// write never completes.)
+    retain: bool,
+    /// Boundaries acknowledged so far (== the boundary index a
+    /// replacement worker must be restored to). Only the collector
+    /// writes and reads it; it is atomic so the lock-free ack path keeps
+    /// it exact (for the journal's `Failure { boundary }`) while the
+    /// link stays shared with the dealer. It publishes no other data.
+    acked: AtomicU64,
     state: Mutex<ShardState>,
     cv: Condvar,
 }
@@ -564,12 +496,12 @@ struct ShardLink {
 impl ShardLink {
     fn new(session: u64, writer: FrameWriter<Conn>, retain: bool) -> Self {
         Self {
+            retain,
+            acked: AtomicU64::new(0),
             state: Mutex::new(ShardState {
                 session,
-                retain,
                 ring: VecDeque::new(),
                 ring_boundaries: 0,
-                acked: 0,
                 writer: Some(writer),
                 failed: false,
             }),
@@ -598,7 +530,7 @@ impl ShardLink {
         }
         let flush = is_boundary || matches!(frame, Frame::Shutdown);
         let st = &mut *st;
-        let frame = if st.retain {
+        let frame = if self.retain {
             st.ring.push_back(frame);
             if is_boundary {
                 st.ring_boundaries += 1;
@@ -622,8 +554,13 @@ impl ShardLink {
     /// Collector ack: boundary `b` is merged — prune the ring through
     /// its `Boundary` frame and wake a dealer waiting on ring space.
     fn ack(&self, b: u64) {
+        self.acked.store(b + 1, Ordering::Relaxed);
+        if !self.retain {
+            // Nothing rung, and an unsupervised dealer never parks on
+            // ring backpressure: no lock, no one to wake (see `retain`).
+            return;
+        }
         let mut st = self.state.lock().expect("shard link poisoned");
-        st.acked = b + 1;
         while let Some(frame) = st.ring.pop_front() {
             if matches!(frame, Frame::Boundary { boundary, .. } if boundary == b) {
                 st.ring_boundaries -= 1;
@@ -634,7 +571,7 @@ impl ShardLink {
     }
 
     fn acked(&self) -> u64 {
-        self.state.lock().expect("shard link poisoned").acked
+        self.acked.load(Ordering::Relaxed)
     }
 
     /// Ask the worker for a heartbeat echo. Fails when the link is
@@ -660,36 +597,15 @@ impl ShardLink {
         }
     }
 
-    /// Write a connection-scoped control frame (e.g. [`Frame::ShmAck`])
-    /// that must *not* enter the replay ring — a replacement worker has
-    /// a different ring, so replaying slot handoffs would corrupt it.
-    #[cfg(all(unix, not(miri)))]
-    fn send_control(&self, frame: &Frame) -> io::Result<()> {
-        let mut st = self.state.lock().expect("shard link poisoned");
-        let st = &mut *st;
-        match st.writer.as_mut() {
-            Some(writer) => {
-                let sent = writer.write_frame(frame).and_then(|()| writer.flush());
-                if sent.is_err() {
-                    st.writer = None;
-                }
-                sent
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "shard link is down",
-            )),
-        }
-    }
-
     /// Recovery: restore a fresh worker to the last acknowledged
     /// boundary and replay the unacknowledged tail, then install its
     /// write half. Returns `(restored boundary, frames replayed)`.
     fn reinstall(&self, mut writer: FrameWriter<Conn>) -> io::Result<(u64, usize)> {
         let mut st = self.state.lock().expect("shard link poisoned");
+        let acked = self.acked();
         writer.write_frame(&Frame::Restore {
             session: st.session,
-            boundary: st.acked,
+            boundary: acked,
             checkpoint: QloveSummary::default(),
         })?;
         for frame in &st.ring {
@@ -698,7 +614,7 @@ impl ShardLink {
         writer.flush()?;
         let replayed = st.ring.len();
         st.writer = Some(writer);
-        Ok((st.acked, replayed))
+        Ok((acked, replayed))
     }
 
     fn fail(&self) {
@@ -718,7 +634,6 @@ struct Supervisor<'a, F> {
     links: &'a [ShardLink],
     readers: Vec<FrameReader<BufReader<Conn>>>,
     breakers: Vec<Conn>,
-    rings: Vec<RingSlot>,
     respawn: F,
     restarts: Vec<u32>,
     journal: &'a EventJournal,
@@ -787,11 +702,7 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Supervisor<'_, F> {
         let conn = (self.respawn)(shard)?;
         self.policy.arm(&conn)?;
         let breaker = conn.try_clone()?;
-        let (reader, mut writer) = handshake(conn, shard as u64, self.config, WorkerMode::Shard)?;
-        // The replacement worker gets a fresh ring before the restore
-        // stream: the old one may hold a torn slot from the crash, and
-        // this way even replayed boundaries flow through shared memory.
-        self.rings[shard] = attach_ring(&breaker, &mut writer)?;
+        let (reader, writer) = handshake(conn, shard as u64, self.config, WorkerMode::Shard)?;
         let restore_us = restore_start.elapsed_us();
         let replay_start = Stopwatch::start();
         let (boundary, replayed) = self.links[shard].reinstall(writer)?;
@@ -871,60 +782,6 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Supervisor<'_, F> {
                         .add(self.readers[shard].last_frame_len() as u64);
                     self.metrics[shard].subwindow.set(summary.total() as i64);
                     return Ok(summary);
-                }
-                #[cfg(all(unix, not(miri)))]
-                Ok(Frame::ShmSummary {
-                    session,
-                    boundary,
-                    epoch: 0,
-                    slot,
-                }) if session == shard as u64 && boundary == b as u64 => {
-                    let ring = match self.rings[shard].as_ref() {
-                        Some(r) => &r.ring,
-                        None => {
-                            return Err(protocol(format!(
-                                "shard {shard}: shm summary with no ring attached"
-                            )))
-                        }
-                    };
-                    if slot >= ring.slots() as u64 {
-                        return Err(protocol(format!(
-                            "shard {shard}: shm slot {slot} out of range"
-                        )));
-                    }
-                    let mut rows = Vec::new();
-                    let read = ring
-                        .read_into(slot as usize, session, boundary, 0, &mut rows)
-                        .and_then(|()| {
-                            QloveSummary::from_counts(rows).ok_or_else(|| {
-                                io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    "shm slot rows are not a valid summary",
-                                )
-                            })
-                        });
-                    match read {
-                        Ok(summary) => {
-                            // Hand the slot back before acknowledging so
-                            // the worker can reuse it immediately.
-                            let _ =
-                                self.links[shard].send_control(&Frame::ShmAck { session, slot });
-                            self.links[shard].ack(b as u64);
-                            // Charge the bytes the summary actually
-                            // moved: the shm rows, not the tiny
-                            // ShmSummary descriptor frame.
-                            self.metrics[shard].summary_bytes.add(
-                                (summary.counts().len() * 2 * std::mem::size_of::<u64>()) as u64,
-                            );
-                            self.metrics[shard].subwindow.set(summary.total() as i64);
-                            return Ok(summary);
-                        }
-                        // A torn or corrupt slot means the worker died
-                        // (or scribbled) mid-publish: treat it exactly
-                        // like a crash — sever, respawn, restore, and
-                        // collect the replayed summary.
-                        Err(e) => self.recover(shard, FailureKind::Crash, 0, e)?,
-                    }
                 }
                 Ok(other) => {
                     return Err(protocol(format!(
@@ -1041,12 +898,10 @@ where
     let mut readers = Vec::with_capacity(shards);
     let mut breakers = Vec::with_capacity(shards);
     let mut links = Vec::with_capacity(shards);
-    let mut rings = Vec::with_capacity(shards);
     for (shard, conn) in conns.into_iter().enumerate() {
         policy.arm(&conn)?;
         breakers.push(conn.try_clone()?);
-        let (reader, mut writer) = handshake(conn, shard as u64, config, WorkerMode::Shard)?;
-        rings.push(attach_ring(&breakers[shard], &mut writer)?);
+        let (reader, writer) = handshake(conn, shard as u64, config, WorkerMode::Shard)?;
         readers.push(reader);
         links.push(ShardLink::new(shard as u64, writer, policy.enabled()));
     }
@@ -1063,7 +918,6 @@ where
         links: &links,
         readers,
         breakers,
-        rings,
         respawn,
         restarts: vec![0; shards],
         journal: &journal,

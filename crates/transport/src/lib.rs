@@ -6,14 +6,13 @@
 //! sockets" extension the merge design record called for. Six layers,
 //! each usable on its own:
 //!
-//! * [`proto`] — the framed QLVT wire protocol (v5): length-prefixed,
+//! * [`proto`] — the framed QLVT wire protocol (v6): length-prefixed,
 //!   versioned frames carrying the QLVS summary codec plus control
 //!   messages. Every post-handshake frame is **session-scoped** (leads
 //!   with a varint session ID), so one connection multiplexes many
 //!   independent windows: `Hello`, `OpenSession`/`CloseSession`,
 //!   `EventBatch`, `Boundary`, `BoundarySummary`, `Answer`,
-//!   `Heartbeat`, `Restore`, `Shutdown`, the v4 shared-memory
-//!   plane (`AttachShm`/`ShmSummary`/`ShmAck`), and the v5 telemetry
+//!   `Heartbeat`, `Restore`, `Shutdown`, `Reshard`, and the telemetry
 //!   scrape (`StatsRequest`/`StatsReport`). Strict decoding:
 //!   malformed input errors, never panics.
 //! * [`worker`] — the worker runtime: a **multi-session server**
@@ -51,29 +50,7 @@
 //!   deterministic [`RecoveryPolicy`] backoff jitter.
 //!
 //! [`net`] holds the socket plumbing (endpoints, listeners, duplex
-//! connections over TCP/UDS, plus the same-host `shm:` endpoint whose
-//! control frames ride a UDS side-channel).
-//!
-//! ## The zero-copy shared-memory data plane (`shm:`)
-//!
-//! A `shm:PATH` endpoint keeps the whole QLVT control protocol on a
-//! Unix socket but moves the bulky boundary-summary payloads through
-//! shared memory. On connect, the coordinator creates a per-connection
-//! [`SummaryRing`](qlove_shm::SummaryRing) file (a small slab of
-//! seqlock-stamped slots) and announces it with `AttachShm`; at each
-//! boundary the worker publishes its `(value, freq)` rows into a free
-//! slot and sends a tiny `ShmSummary` descriptor frame instead of the
-//! inline `BoundarySummary`. The coordinator folds rows straight out
-//! of the mapping, validates the seqlock (a torn or corrupt slot is
-//! handled exactly like a worker crash: sever, respawn, replay), and
-//! returns the slot with `ShmAck`. Workers additionally keep their
-//! dense Level-1 state in an mmap-backed checkpoint file beside the
-//! endpoint, so a respawned same-host worker restores by **remapping**
-//! the file — skipping the already-absorbed replay prefix — instead of
-//! replaying QLVS state through the socket. Everything degrades to the
-//! inline path (no ring, full summary frames) whenever attach fails,
-//! slots run out, or a summary outgrows a slot; answers stay
-//! bit-identical either way.
+//! connections over TCP/UDS).
 //!
 //! The invariant carried over from the thread executor is
 //! non-negotiable: socket-distributed answers — values, provenance,
@@ -92,13 +69,11 @@ pub mod reshard;
 pub mod sessions;
 pub mod worker;
 
-#[cfg(all(unix, not(miri)))]
-pub use chaos::TornWrite;
 pub use chaos::{interpose, ChaosProxy, CutAfter, Fate, FaultInjector, NoFaults, SeededRng};
 pub use coordinator::{
     run_over_sockets, run_remote_operator, run_remote_operator_with_policy, run_supervised,
     DistributedRun, FailureEvent, FailureKind, RecoveryPolicy, TransportError, WorkerStats,
-    MAX_RING_BOUNDARIES, SHM_RING_CAP, SHM_RING_SLOTS,
+    MAX_RING_BOUNDARIES,
 };
 pub use net::{Conn, Endpoint, Listener};
 pub use proto::{Frame, FrameReader, FrameWriter, Role, WorkerMode, PROTOCOL_VERSION};
@@ -502,80 +477,109 @@ mod tests {
         Ok(())
     }
 
-    /// Every regular file in `base`'s directory whose name starts with
-    /// `base`'s file name — rings, checkpoints, and the side-channel
-    /// socket all derive their names from the endpoint base, so an
-    /// empty answer here proves nothing leaked.
-    #[cfg(all(unix, not(miri)))]
-    fn shm_residue(base: &std::path::Path) -> Vec<String> {
-        let dir = base.parent().expect("base has a parent directory");
-        let prefix = base
-            .file_name()
-            .expect("base has a file name")
-            .to_string_lossy()
-            .into_owned();
-        std::fs::read_dir(dir)
-            .expect("read shm dir")
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|name| name.starts_with(&prefix))
-            .collect()
-    }
-
-    #[cfg(all(unix, not(miri)))]
-    #[test]
-    fn loopback_shm_session_is_bit_identical_and_leaks_nothing() {
-        // The shm data plane differential at thread scope: summaries
-        // travel through the mapped seqlock ring (control frames on the
-        // UDS side-channel), dense Level-1 state lives in mmap-backed
-        // checkpoint files, and the answers must still be bit-identical
-        // to a sequential run — with every base-derived file gone once
-        // the run finishes.
-        for backend in [Backend::Tree, Backend::Dense] {
-            let cfg = config().backend(backend);
-            let data: Vec<u64> = (0..10_250u64).map(|i| (i * 2654435761) % 9_973).collect();
-            let want = sequential(&cfg, &data);
-            assert!(!want.is_empty());
-            for shards in [1usize, 3] {
-                let tag = format!("qlove-shm-lib-{}-{backend:?}-{shards}", std::process::id())
-                    .to_lowercase();
-                let mut conns = Vec::new();
-                let mut joins = Vec::new();
-                let mut bases = Vec::new();
-                for i in 0..shards {
-                    let base = std::env::temp_dir().join(format!("{tag}-{i}"));
-                    let server = WorkerServer::bind(&Endpoint::Shm(base.clone())).unwrap();
-                    let endpoint = server.local_endpoint().unwrap();
-                    joins.push(std::thread::spawn(move || server.serve_one()));
-                    conns.push(Conn::connect_retry(&endpoint, Duration::from_secs(5)).unwrap());
-                    bases.push(base);
+    /// A scripted shard worker that answers in bursts: it reads
+    /// `burst` boundaries (ingesting their batches) before it writes
+    /// their summaries back to back, and flushes any remainder when the
+    /// coordinator asks for stats. Summaries are computed by a real
+    /// [`QloveShard`](qlove_core::QloveShard), so answers stay exact.
+    fn bursty_shard_worker(conn: Conn, burst: usize) -> io::Result<()> {
+        fn send_owed(writer: &mut FrameWriter<Conn>, owed: &mut Vec<Frame>) -> io::Result<()> {
+            for frame in owed.drain(..) {
+                writer.write_frame(&frame)?;
+            }
+            writer.flush()
+        }
+        let mut reader = FrameReader::new(io::BufReader::new(conn.try_clone()?));
+        let mut writer = FrameWriter::new(conn);
+        let _ = reader.read_frame()?; // coordinator hello
+        writer.write_frame(&Frame::Hello {
+            version: PROTOCOL_VERSION,
+            role: Role::Worker,
+        })?;
+        writer.flush()?;
+        let Frame::OpenSession {
+            session, config, ..
+        } = reader.read_frame()?
+        else {
+            return Err(io::Error::other("expected OpenSession"));
+        };
+        let mut shard = qlove_core::QloveShard::new(&config);
+        let mut owed = Vec::new();
+        loop {
+            match reader.read_frame()? {
+                Frame::EventBatch { values, .. } => shard.push_batch(&values),
+                Frame::Boundary { boundary, .. } => {
+                    owed.push(Frame::BoundarySummary {
+                        session,
+                        boundary,
+                        epoch: 0,
+                        summary: shard.take_summary(),
+                    });
+                    if owed.len() == burst {
+                        send_owed(&mut writer, &mut owed)?;
+                    }
                 }
-                let mut coordinator = Qlove::new(cfg.clone());
-                let run = run_over_sockets(&cfg, &mut coordinator, conns, &data).unwrap();
-                assert_eq!(run.answers, want, "{backend:?} shards {shards}");
-                assert_eq!(coordinator.pending(), data.len() % cfg.period);
-                for join in joins {
-                    let report = join.join().unwrap().unwrap();
-                    assert_eq!(report.responses(), run.stats.boundaries as u64);
-                    // The data plane must actually engage — a silent
-                    // fall-back to inline summaries would make this
-                    // differential vacuous. (Not asserted equal to
-                    // responses(): a worker running ahead of the acks
-                    // may legitimately ship a few inline.)
-                    assert!(
-                        report.shm_summaries() > 0,
-                        "{backend:?} shards {shards}: ring never used"
-                    );
+                Frame::StatsRequest { .. } => {
+                    owed.push(Frame::StatsReport {
+                        session,
+                        batches: 0,
+                        events: 0,
+                        boundaries: 0,
+                        responses: 0,
+                    });
+                    send_owed(&mut writer, &mut owed)?;
                 }
-                for base in bases {
-                    assert_eq!(
-                        shm_residue(&base),
-                        Vec::<String>::new(),
-                        "{backend:?} shards {shards}: stale shm files"
-                    );
+                Frame::Shutdown => {
+                    writer.write_frame(&Frame::Shutdown)?;
+                    return writer.flush();
                 }
+                other => return Err(io::Error::other(format!("unexpected {other:?}"))),
             }
         }
+    }
+
+    /// Regression: the unsupervised coordinator once deadlocked against
+    /// a worker whose summary burst outgrows the socket buffer. The
+    /// dealer blocked in a socket write while holding the shard link's
+    /// lock, the collector blocked on that lock to acknowledge a
+    /// summary, so nobody drained the worker, which in turn stopped
+    /// reading the dealer's batches. A watchdog turns the hang into a
+    /// failure.
+    #[cfg(unix)]
+    #[test]
+    fn bursty_worker_cannot_deadlock_an_unsupervised_run() {
+        use std::os::unix::net::UnixStream;
+        use std::sync::mpsc;
+        // Unquantized tree summaries of 10K distinct values (~60 KB
+        // each): a burst of 8 is far beyond a Unix socket's buffer.
+        let cfg = QloveConfig::new(&[0.5, 0.99], 40_000, 10_000)
+            .quantize(None)
+            .backend(Backend::Tree);
+        let data: Vec<u64> = (0..240_000u64)
+            .map(|i| (i * 2654435761) % (1 << 48))
+            .collect();
+        let want = sequential(&cfg, &data);
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let breaker = ours.try_clone().unwrap();
+        let worker = std::thread::spawn(move || bursty_shard_worker(Conn::Unix(theirs), 8));
+        let (tx, rx) = mpsc::channel();
+        let run_cfg = cfg.clone();
+        let coordinator = std::thread::spawn(move || {
+            let mut coordinator = Qlove::new(run_cfg.clone());
+            let run = run_over_sockets(&run_cfg, &mut coordinator, vec![Conn::Unix(ours)], &data);
+            let _ = tx.send(run);
+        });
+        let run = match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(run) => run.unwrap(),
+            Err(_) => {
+                // Sever the socket so the stuck threads error out.
+                let _ = breaker.shutdown(std::net::Shutdown::Both);
+                panic!("run_over_sockets deadlocked against a bursty worker");
+            }
+        };
+        assert_eq!(run.answers, want);
+        coordinator.join().unwrap();
+        worker.join().unwrap().unwrap();
     }
 
     #[test]
@@ -714,13 +718,13 @@ mod tests {
     #[test]
     fn supervised_run_recovers_from_worker_crash() -> io::Result<()> {
         // First worker serves shard 0 honestly -- real QloveShard, real
-        // summaries -- but drops the connection right after answering
-        // boundary 0. The replacement must be restored to boundary 1,
-        // replayed the unacknowledged tail, and the merged answers must
-        // be bit-identical to a sequential run. (A Unix socketpair
-        // keeps this deterministic: buffered frames survive the peer's
-        // close and are followed by a clean EOF, where TCP may reset
-        // and discard them.)
+        // summaries -- but drops the connection once it has answered
+        // boundary 0 and read the next dealt frame. The replacement
+        // must be restored to boundary 1, replayed the unacknowledged
+        // tail, and the merged answers must be bit-identical to a
+        // sequential run. (A Unix socketpair keeps this deterministic:
+        // buffered frames survive the peer's close and are followed by
+        // a clean EOF, where TCP may reset and discard them.)
         use std::os::unix::net::UnixStream;
         let (ours, theirs) = UnixStream::pair()?;
         let cfg = config();
@@ -738,8 +742,19 @@ mod tests {
             writer.flush()?;
             reader.read_frame()?; // open session
             let mut shard = qlove_core::QloveShard::new(&worker_cfg);
+            let mut answered = false;
             loop {
                 match reader.read_frame()? {
+                    // Echo probes so a slow dealer is never taken for
+                    // a stall: the only failure here is the crash.
+                    Frame::Heartbeat { session } => {
+                        writer.write_frame(&Frame::Heartbeat { session })?;
+                        writer.flush()?;
+                    }
+                    // A frame dealt after boundary 0 is in flight, so
+                    // the replay tail is non-empty however far the
+                    // dealer had run ahead: drop the connection now.
+                    _ if answered => return Ok(()),
                     Frame::EventBatch { values, .. } => shard.push_batch(&values),
                     Frame::Boundary { session, boundary } => {
                         writer.write_frame(&Frame::BoundarySummary {
@@ -749,7 +764,7 @@ mod tests {
                             summary: shard.take_summary(),
                         })?;
                         writer.flush()?;
-                        return Ok(()); // connection drops after boundary 0
+                        answered = true;
                     }
                     _ => continue,
                 }

@@ -1,20 +1,11 @@
 //! Socket plumbing shared by workers and coordinators: endpoint
 //! addressing, listeners, and a duplex connection type that abstracts
-//! over TCP, Unix-domain sockets, and the shared-memory transport.
+//! over TCP and Unix-domain sockets.
 //!
 //! Endpoints are spelled `tcp:HOST:PORT` (bare `HOST:PORT` also parses
-//! as TCP), `unix:/path/to.sock`, or `shm:/path/base`. TCP connections
-//! set `TCP_NODELAY`: boundary frames are small and latency-sensitive,
-//! and the batched event frames are already large enough to fill
-//! segments.
-//!
-//! An `shm:BASE` endpoint is a Unix-domain control socket at
-//! `BASE.sock` plus a family of mapped files derived from `BASE`
-//! (`BASE.ring.*` summary rings, `BASE.ckpt.*` worker checkpoints).
-//! At the `net` layer it behaves exactly like a UDS connection — the
-//! byte stream carries the framed control protocol — but both ends
-//! remember the base path ([`Conn::shm_base`]) so the session layer
-//! can attach the zero-copy data plane.
+//! as TCP) or `unix:/path/to.sock`. TCP connections set `TCP_NODELAY`:
+//! boundary frames are small and latency-sensitive, and the batched
+//! event frames are already large enough to fill segments.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -25,8 +16,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// A worker address: TCP host:port, a Unix-domain socket path, or a
-/// shared-memory base path.
+/// A worker address: TCP host:port or a Unix-domain socket path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
     /// TCP `host:port`.
@@ -34,15 +24,10 @@ pub enum Endpoint {
     /// Unix-domain socket path (Unix targets only).
     #[cfg(unix)]
     Unix(PathBuf),
-    /// Shared-memory base path (Unix targets only): control frames ride
-    /// a UDS at `BASE.sock`, summaries ride mapped rings at `BASE.*`.
-    #[cfg(unix)]
-    Shm(PathBuf),
 }
 
 impl Endpoint {
-    /// Parse `tcp:HOST:PORT`, bare `HOST:PORT`, `unix:PATH`, or
-    /// `shm:BASE`.
+    /// Parse `tcp:HOST:PORT`, bare `HOST:PORT`, or `unix:PATH`.
     pub fn parse(spec: &str) -> io::Result<Self> {
         if let Some(path) = spec.strip_prefix("unix:") {
             #[cfg(unix)]
@@ -57,38 +42,14 @@ impl Endpoint {
                 return Err(bad_spec(spec, "unix sockets unsupported on this target"));
             }
         }
-        if let Some(base) = spec.strip_prefix("shm:") {
-            #[cfg(unix)]
-            {
-                if base.is_empty() {
-                    return Err(bad_spec(spec, "empty shm base path"));
-                }
-                return Ok(Endpoint::Shm(PathBuf::from(base)));
-            }
-            #[cfg(not(unix))]
-            {
-                return Err(bad_spec(spec, "shm transport unsupported on this target"));
-            }
-        }
         let addr = spec.strip_prefix("tcp:").unwrap_or(spec);
         if addr.rsplit_once(':').is_none_or(|(host, port)| {
             host.is_empty() || port.is_empty() || port.parse::<u16>().is_err()
         }) {
-            return Err(bad_spec(
-                spec,
-                "expected tcp:HOST:PORT, unix:PATH, or shm:BASE",
-            ));
+            return Err(bad_spec(spec, "expected tcp:HOST:PORT or unix:PATH"));
         }
         Ok(Endpoint::Tcp(addr.to_string()))
     }
-}
-
-/// The control-socket path of an shm base: `BASE.sock`.
-#[cfg(unix)]
-pub(crate) fn shm_sock_path(base: &std::path::Path) -> PathBuf {
-    let mut os = base.as_os_str().to_os_string();
-    os.push(".sock");
-    PathBuf::from(os)
 }
 
 impl fmt::Display for Endpoint {
@@ -97,8 +58,6 @@ impl fmt::Display for Endpoint {
             Endpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
             #[cfg(unix)]
             Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
-            #[cfg(unix)]
-            Endpoint::Shm(base) => write!(f, "shm:{}", base.display()),
         }
     }
 }
@@ -119,10 +78,6 @@ pub enum Listener {
     /// Unix-domain listener.
     #[cfg(unix)]
     Unix(UnixListener),
-    /// Shared-memory listener: a UDS control listener at `BASE.sock`
-    /// plus the remembered base path.
-    #[cfg(unix)]
-    Shm(UnixListener, PathBuf),
 }
 
 impl Listener {
@@ -136,12 +91,6 @@ impl Listener {
             Endpoint::Unix(path) => {
                 let _ = std::fs::remove_file(path);
                 Ok(Listener::Unix(UnixListener::bind(path)?))
-            }
-            #[cfg(unix)]
-            Endpoint::Shm(base) => {
-                let sock = shm_sock_path(base);
-                let _ = std::fs::remove_file(&sock);
-                Ok(Listener::Shm(UnixListener::bind(&sock)?, base.clone()))
             }
         }
     }
@@ -159,8 +108,6 @@ impl Listener {
                     .ok_or_else(|| io::Error::other("unnamed unix listener"))?;
                 Ok(Endpoint::Unix(path.to_path_buf()))
             }
-            #[cfg(unix)]
-            Listener::Shm(_, base) => Ok(Endpoint::Shm(base.clone())),
         }
     }
 
@@ -177,14 +124,6 @@ impl Listener {
                 let (stream, _) = l.accept()?;
                 Ok(Conn::Unix(stream))
             }
-            #[cfg(unix)]
-            Listener::Shm(l, base) => {
-                let (stream, _) = l.accept()?;
-                Ok(Conn::Shm {
-                    stream,
-                    base: base.clone(),
-                })
-            }
         }
     }
 }
@@ -192,15 +131,12 @@ impl Listener {
 #[cfg(unix)]
 impl Drop for Listener {
     fn drop(&mut self) {
-        let sock = match self {
-            Listener::Unix(l) | Listener::Shm(l, _) => l
-                .local_addr()
-                .ok()
-                .and_then(|a| a.as_pathname().map(|p| p.to_path_buf())),
-            Listener::Tcp(_) => None,
-        };
-        if let Some(path) = sock {
-            let _ = std::fs::remove_file(path);
+        if let Listener::Unix(l) = self {
+            if let Ok(addr) = l.local_addr() {
+                if let Some(path) = addr.as_pathname() {
+                    let _ = std::fs::remove_file(path);
+                }
+            }
         }
     }
 }
@@ -218,15 +154,6 @@ pub enum Conn {
     /// Unix-domain stream.
     #[cfg(unix)]
     Unix(UnixStream),
-    /// Shared-memory control stream: a UDS carrying the framed
-    /// protocol, plus the base path both ends derive map files from.
-    #[cfg(unix)]
-    Shm {
-        /// The UDS control stream at `BASE.sock`.
-        stream: UnixStream,
-        /// The shm base path.
-        base: PathBuf,
-    },
 }
 
 impl Conn {
@@ -240,22 +167,6 @@ impl Conn {
             }
             #[cfg(unix)]
             Endpoint::Unix(path) => Ok(Conn::Unix(UnixStream::connect(path)?)),
-            #[cfg(unix)]
-            Endpoint::Shm(base) => Ok(Conn::Shm {
-                stream: UnixStream::connect(shm_sock_path(base))?,
-                base: base.clone(),
-            }),
-        }
-    }
-
-    /// The shm base path, when this is a shared-memory connection —
-    /// how the session layer decides whether the zero-copy data plane
-    /// is available and where its map files live.
-    pub fn shm_base(&self) -> Option<&std::path::Path> {
-        match self {
-            #[cfg(unix)]
-            Conn::Shm { base, .. } => Some(base),
-            _ => None,
         }
     }
 
@@ -284,11 +195,6 @@ impl Conn {
             Conn::Tcp(s) => Ok(Conn::Tcp(s.try_clone()?)),
             #[cfg(unix)]
             Conn::Unix(s) => Ok(Conn::Unix(s.try_clone()?)),
-            #[cfg(unix)]
-            Conn::Shm { stream, base } => Ok(Conn::Shm {
-                stream: stream.try_clone()?,
-                base: base.clone(),
-            }),
         }
     }
 
@@ -305,8 +211,6 @@ impl Conn {
             Conn::Tcp(s) => s.set_read_timeout(timeout),
             #[cfg(unix)]
             Conn::Unix(s) => s.set_read_timeout(timeout),
-            #[cfg(unix)]
-            Conn::Shm { stream, .. } => stream.set_read_timeout(timeout),
         }
     }
 
@@ -319,8 +223,6 @@ impl Conn {
             Conn::Tcp(s) => s.set_write_timeout(timeout),
             #[cfg(unix)]
             Conn::Unix(s) => s.set_write_timeout(timeout),
-            #[cfg(unix)]
-            Conn::Shm { stream, .. } => stream.set_write_timeout(timeout),
         }
     }
 
@@ -332,8 +234,6 @@ impl Conn {
             Conn::Tcp(s) => s.shutdown(Shutdown::Both),
             #[cfg(unix)]
             Conn::Unix(s) => s.shutdown(Shutdown::Both),
-            #[cfg(unix)]
-            Conn::Shm { stream, .. } => stream.shutdown(Shutdown::Both),
         }
     }
 }
@@ -344,8 +244,6 @@ impl Read for Conn {
             Conn::Tcp(s) => s.read(buf),
             #[cfg(unix)]
             Conn::Unix(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Shm { stream, .. } => stream.read(buf),
         }
     }
 }
@@ -356,8 +254,6 @@ impl Write for Conn {
             Conn::Tcp(s) => s.write(buf),
             #[cfg(unix)]
             Conn::Unix(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Shm { stream, .. } => stream.write(buf),
         }
     }
 
@@ -366,8 +262,6 @@ impl Write for Conn {
             Conn::Tcp(s) => s.flush(),
             #[cfg(unix)]
             Conn::Unix(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Shm { stream, .. } => stream.flush(),
         }
     }
 }
@@ -417,18 +311,6 @@ mod tests {
                 Endpoint::Unix("relative.sock".into()),
                 "unix:relative.sock",
             ),
-            #[cfg(unix)]
-            (
-                "shm:/tmp/qlove-shard0",
-                Endpoint::Shm("/tmp/qlove-shard0".into()),
-                "shm:/tmp/qlove-shard0",
-            ),
-            #[cfg(unix)]
-            (
-                "shm:relative-base",
-                Endpoint::Shm("relative-base".into()),
-                "shm:relative-base",
-            ),
         ];
         for (spec, want, display) in cases {
             let got = Endpoint::parse(spec).unwrap_or_else(|e| panic!("{spec:?}: {e}"));
@@ -449,7 +331,7 @@ mod tests {
         let cases: &[(&str, &str)] = &[
             ("", "empty spec"),
             ("unix:", "empty unix path"),
-            ("shm:", "empty shm base"),
+            ("shm:/x", "retired shared-memory scheme"),
             ("nohost", "no port separator"),
             ("host:", "empty port"),
             (":80", "empty host"),
@@ -465,6 +347,9 @@ mod tests {
                 "{bad:?} ({why}) should not parse"
             );
         }
+        // The retired `shm:` scheme gets the ordinary scheme error.
+        let err = Endpoint::parse("shm:/x").unwrap_err().to_string();
+        assert!(err.contains("expected tcp:HOST:PORT or unix:PATH"), "{err}");
         // Unknown schemes fall through to host:port parsing; ports make
         // them valid TCP ("weird.scheme:80" is a legal hostname), and
         // anything portless is rejected.
@@ -472,34 +357,6 @@ mod tests {
         assert_eq!(
             Endpoint::parse("quic:8080").unwrap(),
             Endpoint::Tcp("quic:8080".into())
-        );
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn shm_listener_binds_control_socket_and_cleans_up() {
-        let base = std::env::temp_dir().join(format!("qlove-net-shm-{}", std::process::id()));
-        let sock = shm_sock_path(&base);
-        let ep = Endpoint::parse(&format!("shm:{}", base.display())).unwrap();
-        {
-            let listener = Listener::bind(&ep).unwrap();
-            assert_eq!(listener.local_endpoint().unwrap(), ep);
-            assert!(sock.exists(), "control socket at BASE.sock");
-            assert!(!base.exists(), "no file at the bare base path");
-            let conn = Conn::connect_retry(&ep, Duration::from_secs(1)).unwrap();
-            assert_eq!(conn.shm_base(), Some(base.as_path()));
-            let accepted = listener.accept().unwrap();
-            assert_eq!(accepted.shm_base(), Some(base.as_path()));
-            // Clones keep the base.
-            assert_eq!(conn.try_clone().unwrap().shm_base(), Some(base.as_path()));
-            // Non-shm connections report no base.
-            let tcp_l = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
-            let tcp_c = Conn::connect(&tcp_l.local_endpoint().unwrap()).unwrap();
-            assert_eq!(tcp_c.shm_base(), None);
-        }
-        assert!(
-            !sock.exists(),
-            "dropping the shm listener must remove the control socket"
         );
     }
 

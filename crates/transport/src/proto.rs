@@ -23,6 +23,11 @@
 //! | 9    | `Restore`         | varint session id, varint boundary, QLVS checkpoint  |
 //! | 10   | `CloseSession`    | varint session id                                    |
 //! | 11   | `Reshard`         | varint session id, varint boundary, varint epoch     |
+//! | 15   | `StatsRequest`    | varint session id                                    |
+//! | 16   | `StatsReport`     | varint session id, then four varint counters         |
+//!
+//! Types 12–14 carried the retired shared-memory data plane (v4–v5).
+//! They stay unassigned, so a decoder treats them as unknown types.
 //!
 //! Since protocol v2 a single connection multiplexes many independent
 //! sessions: every post-handshake frame except `Shutdown` leads with a
@@ -53,15 +58,12 @@ pub const PROTOCOL_MAGIC: &[u8; 4] = b"QLVT";
 /// Current protocol version. v2 made every post-handshake frame
 /// session-scoped (multi-session connections); v3 added live
 /// resharding (the `Reshard` frame and the epoch stamp on
-/// `BoundarySummary`); v4 added the shared-memory data plane
-/// (`AttachShm`/`ShmSummary`/`ShmAck`); v5 added on-demand worker
-/// stats scraping (`StatsRequest`/`StatsReport`). Older peers are
-/// rejected at the hello exchange.
-pub const PROTOCOL_VERSION: u8 = 5;
-/// Hard cap on the ring path carried by [`Frame::AttachShm`] — one
-/// filesystem path, so `PATH_MAX`-ish is plenty and a corrupt length
-/// cannot force a large allocation.
-pub const MAX_SHM_PATH_LEN: usize = 4096;
+/// `BoundarySummary`); v4 added a shared-memory data plane (frame
+/// types 12–14); v5 added on-demand worker stats scraping
+/// (`StatsRequest`/`StatsReport`); v6 retired the shared-memory plane,
+/// leaving types 12–14 unassigned. Older peers are rejected at the
+/// hello exchange.
+pub const PROTOCOL_VERSION: u8 = 6;
 /// Hard cap on a frame's declared payload length. An `EventBatch` of
 /// the executor's batch size costs at most ~41 KB; 16 MiB leaves room
 /// for huge unquantized summaries while bounding what a corrupt length
@@ -226,43 +228,6 @@ pub enum Frame {
         /// The new reshard epoch (monotonically increasing per run).
         epoch: u64,
     },
-    /// Coordinator → worker (`shm:` connections only): a summary ring
-    /// is mapped at `path`; publish boundary summaries through it
-    /// instead of inline [`Frame::BoundarySummary`] payloads.
-    /// Connection-scoped — one ring serves every session on the
-    /// connection. A worker that cannot open the ring simply keeps
-    /// sending inline summaries; the coordinator accepts both.
-    AttachShm {
-        /// Filesystem path of the ring file created by the
-        /// coordinator (UTF-8, at most [`MAX_SHM_PATH_LEN`] bytes).
-        path: String,
-        /// Number of slots in the ring.
-        slots: u64,
-        /// Per-slot row capacity.
-        cap: u64,
-    },
-    /// Worker → coordinator: the summary for `boundary` was published
-    /// into ring slot `slot`; fold it straight out of the map. Replaces
-    /// the inline [`Frame::BoundarySummary`] when a ring is attached.
-    ShmSummary {
-        /// Which session this summary belongs to.
-        session: u64,
-        /// Which boundary this summary closes.
-        boundary: u64,
-        /// The session's reshard epoch (same contract as
-        /// [`Frame::BoundarySummary::epoch`]).
-        epoch: u64,
-        /// Ring slot holding the rows.
-        slot: u64,
-    },
-    /// Coordinator → worker: the rows in `slot` have been folded; the
-    /// slot may be reused for a later boundary.
-    ShmAck {
-        /// Which session the acknowledged summary belonged to.
-        session: u64,
-        /// The freed ring slot.
-        slot: u64,
-    },
     /// Coordinator → worker (v5): report the named session's ingest
     /// counters now. Like [`Frame::Heartbeat`], the worker answers
     /// regardless of whether the session exists (all-zero counters for
@@ -305,9 +270,6 @@ impl Frame {
             Frame::Restore { .. } => 9,
             Frame::CloseSession { .. } => 10,
             Frame::Reshard { .. } => 11,
-            Frame::AttachShm { .. } => 12,
-            Frame::ShmSummary { .. } => 13,
-            Frame::ShmAck { .. } => 14,
             Frame::StatsRequest { .. } => 15,
             Frame::StatsReport { .. } => 16,
         }
@@ -662,27 +624,6 @@ fn encode_payload(buf: &mut Vec<u8>, frame: &Frame) {
             write_uvarint(buf, *boundary);
             write_uvarint(buf, *epoch);
         }
-        Frame::AttachShm { path, slots, cap } => {
-            write_uvarint(buf, path.len() as u64);
-            buf.extend_from_slice(path.as_bytes());
-            write_uvarint(buf, *slots);
-            write_uvarint(buf, *cap);
-        }
-        Frame::ShmSummary {
-            session,
-            boundary,
-            epoch,
-            slot,
-        } => {
-            write_uvarint(buf, *session);
-            write_uvarint(buf, *boundary);
-            write_uvarint(buf, *epoch);
-            write_uvarint(buf, *slot);
-        }
-        Frame::ShmAck { session, slot } => {
-            write_uvarint(buf, *session);
-            write_uvarint(buf, *slot);
-        }
         Frame::StatsRequest { session } => write_uvarint(buf, *session),
         Frame::StatsReport {
             session,
@@ -795,35 +736,6 @@ pub fn decode_frame(frame_type: u8, mut payload: &[u8]) -> io::Result<Frame> {
             session: read_varint(data, "session id")?,
             boundary: read_varint(data, "reshard boundary index")?,
             epoch: read_varint(data, "reshard epoch")?,
-        },
-        12 => {
-            let len = read_varint(data, "shm path length")? as usize;
-            if len > MAX_SHM_PATH_LEN {
-                return Err(bad(format!("shm path length {len} exceeds cap")));
-            }
-            if data.len() < len {
-                return Err(bad("truncated shm path"));
-            }
-            let (path_bytes, rest) = data.split_at(len);
-            *data = rest;
-            let path = std::str::from_utf8(path_bytes)
-                .map_err(|_| bad("shm path is not UTF-8"))?
-                .to_owned();
-            Frame::AttachShm {
-                path,
-                slots: read_varint(data, "shm slot count")?,
-                cap: read_varint(data, "shm slot capacity")?,
-            }
-        }
-        13 => Frame::ShmSummary {
-            session: read_varint(data, "session id")?,
-            boundary: read_varint(data, "boundary index")?,
-            epoch: read_varint(data, "reshard epoch")?,
-            slot: read_varint(data, "ring slot")?,
-        },
-        14 => Frame::ShmAck {
-            session: read_varint(data, "session id")?,
-            slot: read_varint(data, "ring slot")?,
         },
         15 => Frame::StatsRequest {
             session: read_varint(data, "session id")?,
@@ -1106,36 +1018,6 @@ mod tests {
                 boundary: u64::MAX,
                 epoch: u64::MAX,
             },
-            Frame::AttachShm {
-                path: String::new(),
-                slots: 0,
-                cap: 0,
-            },
-            Frame::AttachShm {
-                path: "/tmp/qlove.ring.1".to_owned(),
-                slots: 64,
-                cap: u64::MAX,
-            },
-            Frame::ShmSummary {
-                session: 0,
-                boundary: 0,
-                epoch: 0,
-                slot: 0,
-            },
-            Frame::ShmSummary {
-                session: u64::MAX,
-                boundary: u64::MAX,
-                epoch: u64::MAX,
-                slot: u64::MAX,
-            },
-            Frame::ShmAck {
-                session: 0,
-                slot: 63,
-            },
-            Frame::ShmAck {
-                session: u64::MAX,
-                slot: u64::MAX,
-            },
             Frame::StatsRequest { session: 0 },
             Frame::StatsRequest { session: u64::MAX },
             Frame::StatsReport {
@@ -1350,8 +1232,18 @@ mod tests {
     #[test]
     fn rejects_structural_corruption() {
         // Unknown frame type (15/16 became the stats scrape in v5; 17
-        // is the first unassigned type).
+        // is the first unassigned type). 12–14 carried the retired
+        // shared-memory plane and are unassigned since v6: their old
+        // well-formed payloads must not decode.
         assert!(decode_frame(0, &[]).is_err());
+        let mut payload = Vec::new();
+        write_uvarint(&mut payload, 2); // ring path length
+        payload.extend_from_slice(b"/x");
+        write_uvarint(&mut payload, 4); // slots
+        write_uvarint(&mut payload, 8); // slot capacity
+        assert!(decode_frame(12, &payload).is_err());
+        assert!(decode_frame(13, &[0, 0, 0, 0]).is_err());
+        assert!(decode_frame(14, &[0, 0]).is_err());
         assert!(decode_frame(17, &[]).is_err());
         assert!(decode_frame(255, &[1, 2, 3]).is_err());
         // Bad hello: wrong magic, wrong length, unknown role.
@@ -1437,58 +1329,6 @@ mod tests {
         write_uvarint(&mut qlvs, u64::MAX);
         payload.extend_from_slice(&qlvs);
         assert!(decode_frame(9, &payload).is_err());
-    }
-
-    /// The v4 shm frames face the same hostile-input contract as every
-    /// other frame: a corrupt path length must be rejected before any
-    /// allocation, and truncation or trailing bytes surface as errors.
-    #[test]
-    fn rejects_corrupt_shm_frames() {
-        // AttachShm: declared path length beyond the cap must die
-        // before allocation, even when the payload is tiny.
-        for len in [
-            MAX_SHM_PATH_LEN as u64 + 1,
-            u64::from(u32::MAX),
-            usize::MAX as u64,
-            u64::MAX,
-        ] {
-            let mut payload = Vec::new();
-            write_uvarint(&mut payload, len);
-            assert!(decode_frame(12, &payload).is_err(), "path len {len}");
-        }
-        // Path length exceeding the bytes actually present.
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, 10);
-        payload.extend_from_slice(b"short");
-        assert!(decode_frame(12, &payload).is_err());
-        // Non-UTF-8 path bytes.
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, 2);
-        payload.extend_from_slice(&[0xff, 0xfe]);
-        write_uvarint(&mut payload, 4);
-        write_uvarint(&mut payload, 8);
-        assert!(decode_frame(12, &payload).is_err());
-        // Truncated after the path (missing slots/cap varints).
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, 2);
-        payload.extend_from_slice(b"/x");
-        assert!(decode_frame(12, &payload).is_err());
-        // A maximal-length path is accepted; one byte more is not.
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, MAX_SHM_PATH_LEN as u64);
-        payload.extend_from_slice(&vec![b'a'; MAX_SHM_PATH_LEN]);
-        write_uvarint(&mut payload, 1);
-        write_uvarint(&mut payload, 1);
-        assert!(decode_frame(12, &payload).is_ok());
-        // ShmSummary/ShmAck: truncated varints and trailing bytes.
-        assert!(decode_frame(13, &[]).is_err());
-        assert!(decode_frame(13, &[0, 0, 0, 0x80]).is_err());
-        assert!(decode_frame(13, &[0, 0, 0, 0]).is_ok());
-        assert!(decode_frame(13, &[0, 0, 0, 0, 0]).is_err());
-        assert!(decode_frame(14, &[]).is_err());
-        assert!(decode_frame(14, &[0x80]).is_err());
-        assert!(decode_frame(14, &[0, 0]).is_ok());
-        assert!(decode_frame(14, &[0, 0, 0]).is_err());
     }
 
     /// The v5 stats frames face the same hostile-input contract:

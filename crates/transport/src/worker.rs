@@ -43,16 +43,9 @@
 
 use crate::net::{Conn, Endpoint, Listener};
 use crate::proto::{Frame, FrameReader, FrameWriter, Role, WorkerMode, PROTOCOL_VERSION};
-#[cfg(all(unix, not(miri)))]
-use qlove_core::Backend;
-use qlove_core::{Qlove, QloveAnswer, QloveConfig, QloveShard, QloveSummary};
-#[cfg(all(unix, not(miri)))]
-use qlove_freqstore::{FreqStore, FreqStoreImpl};
-#[cfg(all(unix, not(miri)))]
-use qlove_shm::SummaryRing;
+use qlove_core::{Qlove, QloveAnswer, QloveConfig, QloveShard};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Bound on each session's queue of not-yet-ingested `EventBatch`
@@ -82,11 +75,6 @@ pub struct SessionReport {
     pub responses: u64,
     /// Telemetry values ingested.
     pub events: u64,
-    /// Of the shipped responses, how many travelled through the
-    /// shared-memory summary ring (`ShmSummary` descriptor) rather
-    /// than as inline `BoundarySummary` payloads. Always 0 when the
-    /// coordinator never attached a ring.
-    pub shm_summaries: u64,
     /// `EventBatch` frames ingested.
     pub batches: u64,
     /// When the session was opened, in microseconds on the shared
@@ -122,128 +110,10 @@ impl ServeReport {
     pub fn events(&self) -> u64 {
         self.sessions.iter().map(|s| s.events).sum()
     }
-
-    /// Total summaries shipped through the shared-memory ring across
-    /// all sessions.
-    pub fn shm_summaries(&self) -> u64 {
-        self.sessions.iter().map(|s| s.shm_summaries).sum()
-    }
 }
 
 fn protocol(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// The shared-memory summary ring a coordinator attached to this
-/// connection, plus the pool of slots not currently holding an
-/// unacknowledged summary.
-#[cfg(all(unix, not(miri)))]
-struct ShmCtx {
-    ring: SummaryRing,
-    free: Vec<u64>,
-}
-
-/// Mapped-checkpoint file for `session` on a worker whose `shm:`
-/// listener base is `base`. Kept beside the control socket so a
-/// respawned same-host worker bound to the same base finds its
-/// predecessor's state.
-fn ckpt_path(base: &Path, session: u64) -> PathBuf {
-    let mut os = base.as_os_str().to_owned();
-    os.push(format!(".ckpt.{session}"));
-    PathBuf::from(os)
-}
-
-/// State salvaged from a predecessor's mapped checkpoint before the
-/// session's fresh store recreates the file: the multiset it held, the
-/// boundary it was working toward, and how many `EventBatch` frames of
-/// that sub-window it already reflects (so replay can skip them).
-struct CkptStash {
-    boundary: u64,
-    batches: u64,
-    state: QloveSummary,
-}
-
-/// Read and validate a surviving checkpoint at `path`; `None` when the
-/// file is missing, torn (crashed mid-mutation), or corrupt — the
-/// caller then falls back to classic QLVS replay.
-/// Wrap one shard-store mutation burst in the mapped checkpoint's
-/// torn-write bracket, then stamp the recovery cursor (`boundary`,
-/// `batches`). Both halves are no-ops for heap-backed stores, so the
-/// non-shm hot path pays nothing.
-fn with_ckpt<R>(
-    shard: &mut QloveShard,
-    boundary: u64,
-    batches: u64,
-    f: impl FnOnce(&mut QloveShard) -> R,
-) -> R {
-    if let Some(d) = shard.store_mut().as_dense_mut() {
-        d.checkpoint_begin();
-    }
-    let out = f(shard);
-    if let Some(d) = shard.store_mut().as_dense_mut() {
-        d.checkpoint_commit(boundary, batches);
-    }
-    out
-}
-
-#[cfg(all(unix, not(miri)))]
-fn stash_checkpoint(sig_digits: u32, path: &Path) -> Option<CkptStash> {
-    let prev = FreqStoreImpl::dense_open_mapped(sig_digits, path).ok()?;
-    let dense = prev.as_dense()?;
-    let (boundary, batches) = dense.checkpoint_state()?;
-    let mut counts = Vec::new();
-    dense.counts_into(&mut counts);
-    let state = QloveSummary::from_counts(counts)?;
-    Some(CkptStash {
-        boundary,
-        batches,
-        state,
-    })
-}
-
-/// Build the state for one `OpenSession`. On a `shm:` connection, a
-/// dense-backed shard session swaps its Level-1 store for an
-/// mmap-backed one whose file doubles as the crash checkpoint: any
-/// intact predecessor checkpoint is stashed first (for the remap
-/// restore fast path), then the file is recreated fresh. Everything
-/// else — operator mode, tree backends, plain sockets, platforms
-/// without shm — uses the ordinary heap store.
-fn new_session(
-    id: u64,
-    config: &QloveConfig,
-    mode: WorkerMode,
-    shm_base: Option<&Path>,
-) -> Session {
-    #[cfg(all(unix, not(miri)))]
-    if mode == WorkerMode::Shard && config.resolved_backend() == Backend::Dense {
-        if let (Some(base), Some(d)) = (shm_base, config.sig_digits) {
-            let path = ckpt_path(base, id);
-            let stash = stash_checkpoint(d, &path);
-            if let Ok(store) = FreqStoreImpl::dense_mapped(d, &path) {
-                return Session {
-                    id,
-                    core: SessionCore::Shard {
-                        shard: QloveShard::with_store(config, store),
-                        boundaries: 0,
-                        shipped: 0,
-                        virgin: true,
-                        epoch: 0,
-                    },
-                    events: 0,
-                    batches: 0,
-                    opened_us: qlove_telemetry::now_us(),
-                    pending: VecDeque::new(),
-                    skip: 0,
-                    stash,
-                    ckpt_path: Some(path),
-                    shm_shipped: 0,
-                };
-            }
-        }
-    }
-    #[cfg(not(all(unix, not(miri))))]
-    let _ = shm_base;
-    Session::new(id, config, mode)
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -288,26 +158,11 @@ struct Session {
     id: u64,
     core: SessionCore,
     events: u64,
-    /// `EventBatch` frames ingested (the scrapeable twin of `events`;
-    /// replay-skipped batches are not counted, so a restored session
-    /// reports only work it actually did).
+    /// `EventBatch` frames ingested (the scrapeable twin of `events`).
     batches: u64,
     /// Open timestamp on the shared monotonic telemetry clock.
     opened_us: u64,
     pending: VecDeque<Vec<u64>>,
-    /// Replayed `EventBatch` frames still to drop because the remapped
-    /// checkpoint already reflects them (set by a map-backed `Restore`,
-    /// 0 everywhere else).
-    skip: u64,
-    /// Predecessor checkpoint salvaged at `OpenSession`, consumed by
-    /// the first `Restore` (or never, for sessions that were opened
-    /// fresh rather than recovered).
-    stash: Option<CkptStash>,
-    /// Mapped checkpoint file to delete after a clean session end —
-    /// surviving files are for crash recovery only.
-    ckpt_path: Option<PathBuf>,
-    /// Summaries this session shipped through the shared-memory ring.
-    shm_shipped: u64,
 }
 
 impl Session {
@@ -333,19 +188,6 @@ impl Session {
             batches: 0,
             opened_us: qlove_telemetry::now_us(),
             pending: VecDeque::new(),
-            skip: 0,
-            stash: None,
-            ckpt_path: None,
-            shm_shipped: 0,
-        }
-    }
-
-    /// Remove the mapped checkpoint file, if any — called on clean
-    /// session end (`CloseSession`/`Shutdown`), when the state it
-    /// duplicates has been shipped and acknowledged.
-    fn cleanup_checkpoint(&self) {
-        if let Some(path) = &self.ckpt_path {
-            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -366,17 +208,7 @@ impl Session {
         self.events += values.len() as u64;
         self.batches += 1;
         match &mut self.core {
-            SessionCore::Shard {
-                shard, boundaries, ..
-            } => {
-                let batches = shard
-                    .store_mut()
-                    .as_dense()
-                    .and_then(|d| d.checkpoint_state())
-                    .map_or(0, |(_, b)| b);
-                let boundary = *boundaries;
-                with_ckpt(shard, boundary, batches + 1, |s| s.push_batch(&values));
-            }
+            SessionCore::Shard { shard, .. } => shard.push_batch(&values),
             SessionCore::Operator {
                 op,
                 produced,
@@ -416,7 +248,6 @@ impl Session {
             mode: self.mode(),
             responses,
             events: self.events,
-            shm_summaries: self.shm_shipped,
             batches: self.batches,
             opened_us: self.opened_us,
             closed_us: qlove_telemetry::now_us(),
@@ -555,14 +386,6 @@ impl SessionSlab {
     fn reports(&self) -> Vec<SessionReport> {
         self.slots.iter().flatten().map(Session::report).collect()
     }
-
-    /// Delete every open session's mapped checkpoint file (clean
-    /// connection shutdown — nothing left to recover).
-    fn cleanup_checkpoints(&self) {
-        for session in self.slots.iter().flatten() {
-            session.cleanup_checkpoint();
-        }
-    }
 }
 
 /// Serve one full connection — every session the coordinator opens on
@@ -602,12 +425,6 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
     let mut slab = SessionSlab::new();
     let mut finished: Vec<SessionReport> = Vec::new();
     let mut armed = false;
-    // `shm:` connections know their listener base path; sessions use it
-    // to place mapped checkpoints, and the coordinator may attach a
-    // summary ring on top.
-    let shm_base: Option<PathBuf> = ctrl.shm_base().map(Path::to_path_buf);
-    #[cfg(all(unix, not(miri)))]
-    let mut shm: Option<ShmCtx> = None;
     loop {
         // Arm a short read deadline only while the scheduler has work;
         // otherwise block (no idle spinning between streams).
@@ -638,33 +455,23 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
             } => {
                 // The decoder has already validated the config, so
                 // constructing the operator cannot panic.
-                slab.open(new_session(session, &config, mode, shm_base.as_deref()))?;
+                slab.open(Session::new(session, &config, mode))?;
             }
             Frame::EventBatch { session, values } => {
                 let s = slab.get(session, "event batch")?;
                 if let SessionCore::Shard { virgin, .. } = &mut s.core {
                     *virgin = false;
                 }
-                if s.skip > 0 {
-                    // Replay of a batch the remapped checkpoint already
-                    // reflects: dropping it (rather than ingesting
-                    // twice) is what keeps the recovered multiset
-                    // exact.
-                    s.skip -= 1;
-                } else {
-                    s.pending.push_back(values);
-                    // Per-session backpressure: beyond the bound, the
-                    // hot session pays its own ingest inline.
-                    while s.pending.len() > MAX_PENDING_BATCHES_PER_SESSION {
-                        s.ingest_one(&mut writer)?;
-                    }
+                s.pending.push_back(values);
+                // Per-session backpressure: beyond the bound, the hot
+                // session pays its own ingest inline.
+                while s.pending.len() > MAX_PENDING_BATCHES_PER_SESSION {
+                    s.ingest_one(&mut writer)?;
                 }
             }
             Frame::Boundary { session, boundary } => {
                 let s = slab.get(session, "boundary")?;
                 s.drain(&mut writer)?;
-                #[cfg(all(unix, not(miri)))]
-                let shm_shipped = &mut s.shm_shipped;
                 match &mut s.core {
                     SessionCore::Shard {
                         shard,
@@ -680,50 +487,13 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                                  (expected {boundaries})"
                             )));
                         }
-                        let summary = with_ckpt(shard, boundary + 1, 0, QloveShard::take_summary);
-                        // Boundary durability point. A failed flush
-                        // degrades recovery (successor replays instead
-                        // of remapping), never correctness.
-                        if let Some(d) = shard.store_mut().as_dense() {
-                            let _ = d.msync();
-                        }
-                        let mut inline = true;
-                        #[cfg(all(unix, not(miri)))]
-                        if let Some(ctx) = shm.as_mut() {
-                            if let Some(slot) = ctx.free.pop() {
-                                if ctx.ring.publish(
-                                    slot as usize,
-                                    session,
-                                    boundary,
-                                    *epoch,
-                                    summary.counts(),
-                                ) {
-                                    writer.write_frame(&Frame::ShmSummary {
-                                        session,
-                                        boundary,
-                                        epoch: *epoch,
-                                        slot,
-                                    })?;
-                                    writer.flush()?;
-                                    *shm_shipped += 1;
-                                    inline = false;
-                                } else {
-                                    // Too many rows for a slot: the
-                                    // slot stays free, the summary
-                                    // rides the control channel.
-                                    ctx.free.push(slot);
-                                }
-                            }
-                        }
-                        if inline {
-                            writer.write_frame(&Frame::BoundarySummary {
-                                session,
-                                boundary,
-                                epoch: *epoch,
-                                summary,
-                            })?;
-                            writer.flush()?;
-                        }
+                        writer.write_frame(&Frame::BoundarySummary {
+                            session,
+                            boundary,
+                            epoch: *epoch,
+                            summary: shard.take_summary(),
+                        })?;
+                        writer.flush()?;
                         *boundaries += 1;
                         *shipped += 1;
                     }
@@ -766,8 +536,6 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                 checkpoint,
             } => {
                 let s = slab.get(session, "restore")?;
-                let stash = s.stash.take();
-                let skip;
                 match &mut s.core {
                     SessionCore::Shard {
                         shard,
@@ -783,21 +551,7 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                         }
                         *virgin = false;
                         *boundaries = boundary;
-                        // Same-host remap fast path: when the
-                        // predecessor's mapped checkpoint survived
-                        // intact at exactly this boundary and the
-                        // coordinator imposes no finer-grained state,
-                        // restore from the map and skip the replayed
-                        // batches it already reflects — no QLVS replay
-                        // cost for state the page cache still holds.
-                        let (state, batches) = match stash {
-                            Some(st) if checkpoint.is_empty() && st.boundary == boundary => {
-                                (st.state, st.batches)
-                            }
-                            _ => (checkpoint, 0),
-                        };
-                        with_ckpt(shard, boundary, batches, |sh| sh.restore(&state));
-                        skip = batches;
+                        shard.restore(&checkpoint);
                     }
                     SessionCore::Operator { .. } => {
                         return Err(protocol(format!(
@@ -806,7 +560,6 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                         )))
                     }
                 }
-                s.skip = skip;
             }
             Frame::CloseSession { session } => {
                 {
@@ -815,40 +568,8 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                 }
                 let closed = slab.close(session)?;
                 finished.push(closed.report());
-                closed.cleanup_checkpoint();
                 writer.write_frame(&Frame::CloseSession { session })?;
                 writer.flush()?;
-            }
-            Frame::AttachShm { path, slots, cap } => {
-                // Attach is best-effort by contract: a worker that
-                // cannot open (or distrusts the geometry of) the
-                // announced ring keeps shipping inline summaries, and
-                // the coordinator accepts both.
-                #[cfg(all(unix, not(miri)))]
-                {
-                    shm = None;
-                    if let Ok(ring) = SummaryRing::open(Path::new(&path)) {
-                        if ring.slots() as u64 == slots && ring.cap() as u64 == cap {
-                            let free = (0..slots).rev().collect();
-                            shm = Some(ShmCtx { ring, free });
-                        }
-                    }
-                }
-                #[cfg(not(all(unix, not(miri))))]
-                let _ = (path, slots, cap);
-            }
-            Frame::ShmAck { slot, .. } => {
-                // The coordinator folded the rows in `slot`; it may
-                // hold a later summary now. Hostile or stale acks
-                // (out-of-range, double-free) are ignored, not trusted.
-                #[cfg(all(unix, not(miri)))]
-                if let Some(ctx) = shm.as_mut() {
-                    if slot < ctx.ring.slots() as u64 && !ctx.free.contains(&slot) {
-                        ctx.free.push(slot);
-                    }
-                }
-                #[cfg(not(all(unix, not(miri))))]
-                let _ = slot;
             }
             Frame::Reshard {
                 session,
@@ -893,7 +614,6 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
             Frame::Shutdown => {
                 slab.drain_all(&mut writer)?;
                 finished.extend(slab.reports());
-                slab.cleanup_checkpoints();
                 writer.write_frame(&Frame::Shutdown)?;
                 writer.flush()?;
                 return Ok(ServeReport { sessions: finished });
@@ -901,7 +621,6 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
             other @ (Frame::Hello { .. }
             | Frame::BoundarySummary { .. }
             | Frame::Answer { .. }
-            | Frame::ShmSummary { .. }
             | Frame::StatsReport { .. }) => {
                 return Err(protocol(format!(
                     "unexpected frame from coordinator: {other:?}"

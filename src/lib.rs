@@ -19,9 +19,6 @@
 //!   domains, and runtime backend dispatch.
 //! * [`rbtree`] — the order-statistic frequency red-black tree backing
 //!   Level-1 state and the Exact baseline.
-//! * [`shm`] — shared-memory primitives behind the `shm:` transport:
-//!   Pod layout validation, mapped slabs, the seqlock summary ring,
-//!   and mmap-backed checkpoint files.
 //! * [`telemetry`] — the observability plane: lock-free metrics
 //!   registry (counters/gauges/log-bucketed histograms), the bounded
 //!   structured event journal, and the shared monotonic clock.
@@ -30,10 +27,11 @@
 //! * [`wire`] — varint primitives and the QLVS summary codec shared by
 //!   snapshot IO and the transport.
 
+#![forbid(unsafe_code)]
+
 pub use qlove_core as core;
 pub use qlove_freqstore as freqstore;
 pub use qlove_rbtree as rbtree;
-pub use qlove_shm as shm;
 pub use qlove_sketches as sketches;
 pub use qlove_stats as stats;
 pub use qlove_stream as stream;

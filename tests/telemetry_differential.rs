@@ -5,9 +5,8 @@
 //! * **Differential**: the socket-distributed run with metric
 //!   recording globally enabled answers **bit-identically** to the
 //!   same run with recording disabled — and both match the sequential
-//!   single-instance run — for both Level-1 backends over both
-//!   unix-domain sockets and the shared-memory data plane. The
-//!   instrumentation sits on the dealer/collector hot paths, so this
+//!   single-instance run — for both Level-1 backends over unix-domain
+//!   sockets. The instrumentation sits on the dealer/collector hot paths, so this
 //!   is the test that proves it never leaks into answers.
 //!
 //! * **Round-trip properties**: every metric registered in a registry
@@ -65,61 +64,22 @@ fn sequential(cfg: &QloveConfig, data: &[u64]) -> Vec<QloveAnswer> {
 }
 
 /// One socket-distributed run against in-process `serve_stream` worker
-/// threads — unix-domain socketpairs or the shared-memory data plane.
+/// threads over unix-domain socketpairs.
 #[cfg(unix)]
-fn socket_run(cfg: &QloveConfig, data: &[u64], shards: usize, family: &str) -> Vec<QloveAnswer> {
-    use qlove::transport::{run_over_sockets, serve_stream, Conn, Endpoint, Listener};
-    let mut shm_bases: Vec<std::path::PathBuf> = Vec::new();
-    let answers = std::thread::scope(|scope| {
+fn socket_run(cfg: &QloveConfig, data: &[u64], shards: usize) -> Vec<QloveAnswer> {
+    use qlove::transport::{run_over_sockets, serve_stream, Conn};
+    std::thread::scope(|scope| {
         let mut conns = Vec::with_capacity(shards);
-        for i in 0..shards {
-            match family {
-                "uds" => {
-                    let (ours, theirs) =
-                        std::os::unix::net::UnixStream::pair().expect("socketpair");
-                    conns.push(Conn::Unix(ours));
-                    scope.spawn(move || serve_stream(Conn::Unix(theirs)));
-                }
-                "shm" => {
-                    let base = std::env::temp_dir().join(format!(
-                        "qlove-telem-{}-{i}-{}",
-                        std::process::id(),
-                        shm_bases.len()
-                    ));
-                    let listener =
-                        Listener::bind(&Endpoint::Shm(base.clone())).expect("bind shm listener");
-                    let endpoint = listener.local_endpoint().expect("resolve shm endpoint");
-                    scope.spawn(move || {
-                        let conn = listener.accept().expect("accept shm worker");
-                        serve_stream(conn)
-                    });
-                    conns.push(Conn::connect(&endpoint).expect("connect shm worker"));
-                    shm_bases.push(base);
-                }
-                other => panic!("unknown family {other}"),
-            }
+        for _ in 0..shards {
+            let (ours, theirs) = std::os::unix::net::UnixStream::pair().expect("socketpair");
+            conns.push(Conn::Unix(ours));
+            scope.spawn(move || serve_stream(Conn::Unix(theirs)));
         }
         let mut coordinator = Qlove::new(cfg.clone());
         run_over_sockets(cfg, &mut coordinator, conns, data)
             .expect("socket-distributed run")
             .answers
-    });
-    // The transport unlinks its artifacts on clean shutdown; sweep
-    // anything a failed assertion would leave behind.
-    for base in &shm_bases {
-        let (Some(dir), Some(name)) = (base.parent(), base.file_name()) else {
-            continue;
-        };
-        let prefix = name.to_string_lossy().into_owned();
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().starts_with(&prefix) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-    }
-    answers
+    })
 }
 
 #[cfg(unix)]
@@ -131,21 +91,16 @@ fn telemetry_on_off_answers_are_bit_identical() {
         let cfg = QloveConfig::new(&PHIS, WINDOW, PERIOD).backend(backend);
         let want = sequential(&cfg, &data);
         assert!(want.len() >= 2, "{backend:?}: too few evaluations");
-        for family in ["uds", "shm"] {
-            let on = {
-                let _guard = EnabledGuard::set(true);
-                socket_run(&cfg, &data, 3, family)
-            };
-            let off = {
-                let _guard = EnabledGuard::set(false);
-                socket_run(&cfg, &data, 3, family)
-            };
-            assert_eq!(on, want, "{backend:?} {family}: instrumented run diverged");
-            assert_eq!(
-                off, want,
-                "{backend:?} {family}: uninstrumented run diverged"
-            );
-        }
+        let on = {
+            let _guard = EnabledGuard::set(true);
+            socket_run(&cfg, &data, 3)
+        };
+        let off = {
+            let _guard = EnabledGuard::set(false);
+            socket_run(&cfg, &data, 3)
+        };
+        assert_eq!(on, want, "{backend:?} uds: instrumented run diverged");
+        assert_eq!(off, want, "{backend:?} uds: uninstrumented run diverged");
     }
 }
 
