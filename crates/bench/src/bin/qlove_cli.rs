@@ -674,13 +674,8 @@ fn run_connect_mode(args: &Args, spec: &str) -> Result<(), String> {
     // The remote operator holds the full window state, so a crash is
     // unrecoverable; the policy only adds heartbeat-based detection of
     // hung workers instead of blocking forever.
-    let answers = qlove_transport::run_remote_operator_with_policy(
-        &cfg,
-        conn,
-        &values,
-        &recovery_policy(args),
-    )
-    .map_err(|e| e.to_string())?;
+    let answers = qlove_transport::run_remote_operator(&cfg, conn, &values, &recovery_policy(args))
+        .map_err(|e| e.to_string())?;
     // The operator state lives in the worker; no local footprint.
     print_answers(&args.phis, args.window, args.period, &answers, 0)
 }

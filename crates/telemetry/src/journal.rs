@@ -4,8 +4,8 @@
 //! failure, recovery, reshard, and pause records behind a single
 //! type — the transport layers emit here instead of growing bespoke
 //! per-run vectors, and the old result fields (`DistributedRun::
-//! failures`, `ReshardRun::events`, …) are materialized as views over
-//! the journal.
+//! failures`, `DistributedRun::events`, …) are materialized as views
+//! over the journal.
 //!
 //! Sequence numbers and timestamps are assigned under the same lock
 //! that appends to the ring, so the journal's physical order, its

@@ -16,7 +16,8 @@
 //!   recovery, reshard, and pause records behind one type, replacing
 //!   the bespoke per-run vectors the transport layers used to carry.
 //!   Emission is unconditional (the journal is the source of truth
-//!   for the compatibility views `DistributedRun::failures` et al.);
+//!   for the compatibility views `DistributedRun::failures` and
+//!   `DistributedRun::events`);
 //!   only *metric* recording honors the global [`set_enabled`] switch.
 //!
 //! Every timestamp in the crate comes from one monotonic clock

@@ -4,6 +4,13 @@
 //! pipeline — so merging boundary *b* overlaps the workers ingesting
 //! toward boundary *b+1*.
 //!
+//! This module holds the entry points and the pieces every transport
+//! path shares (recovery policy, failure records, handshake, restart
+//! loop, per-shard metrics). The one-window driver itself — dealer,
+//! collector, and per-connection link — lives in [`crate::reshard`]:
+//! [`run_over_sockets`] and [`run_supervised`] are resharded runs with
+//! an empty schedule.
+//!
 //! Three threads cooperate, connected only by sockets and the pipeline
 //! channel, with no stage ever waiting on a stage downstream of it:
 //!
@@ -20,14 +27,16 @@
 //! the workers run ahead of the collector only until their write of a
 //! summary blocks, and the collector runs ahead of the merger by at
 //! most one full boundary group (the double buffer). Memory stays
-//! bounded end to end.
+//! bounded end to end. Without supervision the collector never takes a
+//! lock the dealer can hold across a socket write, so a worker whose
+//! summaries outgrow the socket buffer cannot deadlock the run.
 //!
 //! # Fault tolerance
 //!
 //! [`run_supervised`] adds exact-replay worker recovery on top of the
-//! same pipeline. Every frame dealt to a shard is retained in a bounded
-//! **replay ring** ([`MAX_RING_BOUNDARIES`] sub-windows deep) and
-//! pruned as soon as the collector merges the matching
+//! same pipeline. Every frame dealt to a connection is retained in a
+//! bounded **replay ring** ([`MAX_RING_BOUNDARIES`] sub-windows deep)
+//! and pruned as soon as the collector merges the matching
 //! `BoundarySummary` — the acknowledgement that the worker's effect on
 //! the answer stream is durable. Because a [`qlove_core::QloveShard`]
 //! resets at every boundary, the state lost with a dead worker is
@@ -48,16 +57,15 @@
 
 use crate::net::Conn;
 use crate::proto::{Frame, FrameReader, FrameWriter, Role, WorkerMode, PROTOCOL_VERSION};
-use qlove_core::{Qlove, QloveAnswer, QloveConfig, QloveSummary};
+use crate::reshard::ReshardEvent;
+use qlove_core::{Qlove, QloveAnswer, QloveConfig};
 use qlove_stream::parallel::BATCH;
-use qlove_stream::{coordinate_pipelined, PipelineStats};
+use qlove_stream::PipelineStats;
 use qlove_telemetry::metrics::labeled;
 use qlove_telemetry::{Counter, EventJournal, EventKind, Gauge, Stopwatch};
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufReader};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -256,7 +264,7 @@ pub(crate) fn join_io<T>(
 }
 
 /// Point-in-time worker-side counters scraped over a
-/// [`Frame::StatsReport`] (the coordinator requests one per shard just
+/// [`Frame::StatsReport`] (the coordinator requests one per session just
 /// before shutdown). Purely observational: the values never influence
 /// routing or merging.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -371,7 +379,7 @@ impl ShardMetrics {
     }
 }
 
-/// Result of a socket-distributed run.
+/// Result of a socket-distributed run, fixed-shard or resharded.
 #[derive(Debug)]
 pub struct DistributedRun {
     /// The merged window evaluations, bit-identical to a
@@ -382,18 +390,27 @@ pub struct DistributedRun {
     pub stats: PipelineStats,
     /// Worker failures detected during the run and how recovery went
     /// (always empty under [`RecoveryPolicy::disabled`], which turns
-    /// failures into errors instead). A *view* materialized from
-    /// [`DistributedRun::journal`]; kept as a field for compatibility.
+    /// failures into errors instead). `shard` on each event is the
+    /// connection index (= the shard index unless the run resharded).
+    /// A *view* materialized from [`DistributedRun::journal`]; kept as
+    /// a field for compatibility.
     pub failures: Vec<FailureEvent>,
+    /// The reshards actually executed, in boundary order (always empty
+    /// for a fixed-shard run). A view materialized from
+    /// [`DistributedRun::journal`].
+    pub events: Vec<ReshardEvent>,
     /// The run's structured event journal: every failure, recovery,
     /// reshard, and pause record on one monotonic clock.
     pub journal: EventJournal,
     /// Worker-side counters scraped over the wire at shutdown, one per
-    /// shard (all-zero when a worker died before answering its scrape).
+    /// session live at the end of the run, in slot order — one per
+    /// shard for a fixed-shard run (all-zero when a worker died before
+    /// answering its scrape).
     pub worker_stats: Vec<WorkerStats>,
 }
 
-fn protocol(msg: impl Into<String>) -> io::Error {
+/// A protocol violation by the peer: always `InvalidData`.
+pub(crate) fn protocol(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -432,392 +449,6 @@ pub(crate) fn hello_handshake(
     Ok((reader, writer))
 }
 
-/// Handshake one worker connection and open a single session on it:
-/// hello exchange + `OpenSession`.
-fn handshake(
-    conn: Conn,
-    session: u64,
-    config: &QloveConfig,
-    mode: WorkerMode,
-) -> io::Result<(FrameReader<BufReader<Conn>>, FrameWriter<Conn>)> {
-    let (reader, mut writer) = hello_handshake(conn)?;
-    writer.write_frame(&Frame::OpenSession {
-        session,
-        config: config.clone(),
-        mode,
-    })?;
-    writer.flush()?;
-    Ok((reader, writer))
-}
-
-/// Everything the dealer and the collector share about one shard: the
-/// replay ring (source of truth for unacknowledged frames) and the
-/// current write half, if the shard has a live one.
-struct ShardState {
-    /// Wire session ID this shard's frames are scoped to (the shard
-    /// index: each per-shard connection carries exactly one session).
-    session: u64,
-    /// Dealt frames not yet covered by a boundary acknowledgement, in
-    /// deal order. On recovery this is exactly what gets replayed.
-    ring: VecDeque<Frame>,
-    /// `Boundary` frames currently in the ring — the dealer's run-ahead
-    /// budget.
-    ring_boundaries: usize,
-    /// Live write half. `None` while the shard is down: the dealer
-    /// keeps ringing frames and the collector's recovery replays them.
-    writer: Option<FrameWriter<Conn>>,
-    /// Terminal-failure flag: wake and stop everyone.
-    failed: bool,
-}
-
-struct ShardLink {
-    /// Whether dealt frames are retained for replay. `false` when the
-    /// policy cannot restart workers (`max_restarts == 0`): replay can
-    /// never happen, so the dealer writes straight through and the
-    /// failure-free hot path pays nothing for the ring. Immutable, and
-    /// deliberately *outside* the mutex (the `MuxLink` layout): when
-    /// `false` the collector's acknowledgements never take the lock, so
-    /// the collector keeps reading even while the dealer is blocked in
-    /// a socket write holding it. (Dealer blocked writing → collector
-    /// blocked on the lock → collector stops reading → the worker fills
-    /// its outbound buffer and stops reading its inbound → the dealer's
-    /// write never completes.)
-    retain: bool,
-    /// Boundaries acknowledged so far (== the boundary index a
-    /// replacement worker must be restored to). Only the collector
-    /// writes and reads it; it is atomic so the lock-free ack path keeps
-    /// it exact (for the journal's `Failure { boundary }`) while the
-    /// link stays shared with the dealer. It publishes no other data.
-    acked: AtomicU64,
-    state: Mutex<ShardState>,
-    cv: Condvar,
-}
-
-impl ShardLink {
-    fn new(session: u64, writer: FrameWriter<Conn>, retain: bool) -> Self {
-        Self {
-            retain,
-            acked: AtomicU64::new(0),
-            state: Mutex::new(ShardState {
-                session,
-                ring: VecDeque::new(),
-                ring_boundaries: 0,
-                writer: Some(writer),
-                failed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Dealer path: retain `frame` in the replay ring (when the policy
-    /// can restart workers), then push it down the socket. A failed or
-    /// timed-out write *parks* the link (drops the writer) instead of
-    /// erroring — the collector notices the dead peer and either
-    /// recovers (replaying the ring) or ends the run. Blocks while the
-    /// ring is at its boundary bound; without retention the frame is
-    /// written straight through and backpressure stays purely physical
-    /// (socket buffers), exactly the pre-supervision hot path.
-    fn deal(&self, frame: Frame) -> io::Result<()> {
-        let mut st = self.state.lock().expect("shard link poisoned");
-        let is_boundary = matches!(frame, Frame::Boundary { .. });
-        if is_boundary {
-            while st.ring_boundaries >= MAX_RING_BOUNDARIES && !st.failed {
-                st = self.cv.wait(st).expect("shard link poisoned");
-            }
-        }
-        if st.failed {
-            return Err(io::Error::other("distributed run aborted"));
-        }
-        let flush = is_boundary || matches!(frame, Frame::Shutdown);
-        let st = &mut *st;
-        let frame = if self.retain {
-            st.ring.push_back(frame);
-            if is_boundary {
-                st.ring_boundaries += 1;
-            }
-            st.ring.back().expect("frame was just pushed")
-        } else {
-            &frame
-        };
-        if let Some(writer) = st.writer.as_mut() {
-            let sent =
-                writer
-                    .write_frame(frame)
-                    .and_then(|()| if flush { writer.flush() } else { Ok(()) });
-            if sent.is_err() {
-                st.writer = None;
-            }
-        }
-        Ok(())
-    }
-
-    /// Collector ack: boundary `b` is merged — prune the ring through
-    /// its `Boundary` frame and wake a dealer waiting on ring space.
-    fn ack(&self, b: u64) {
-        self.acked.store(b + 1, Ordering::Relaxed);
-        if !self.retain {
-            // Nothing rung, and an unsupervised dealer never parks on
-            // ring backpressure: no lock, no one to wake (see `retain`).
-            return;
-        }
-        let mut st = self.state.lock().expect("shard link poisoned");
-        while let Some(frame) = st.ring.pop_front() {
-            if matches!(frame, Frame::Boundary { boundary, .. } if boundary == b) {
-                st.ring_boundaries -= 1;
-                break;
-            }
-        }
-        self.cv.notify_all();
-    }
-
-    fn acked(&self) -> u64 {
-        self.acked.load(Ordering::Relaxed)
-    }
-
-    /// Ask the worker for a heartbeat echo. Fails when the link is
-    /// parked or the write side is dead — i.e. the worker crashed.
-    fn probe(&self) -> io::Result<()> {
-        let mut st = self.state.lock().expect("shard link poisoned");
-        let st = &mut *st;
-        let session = st.session;
-        match st.writer.as_mut() {
-            Some(writer) => {
-                let sent = writer
-                    .write_frame(&Frame::Heartbeat { session })
-                    .and_then(|()| writer.flush());
-                if sent.is_err() {
-                    st.writer = None;
-                }
-                sent
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "shard link is down",
-            )),
-        }
-    }
-
-    /// Recovery: restore a fresh worker to the last acknowledged
-    /// boundary and replay the unacknowledged tail, then install its
-    /// write half. Returns `(restored boundary, frames replayed)`.
-    fn reinstall(&self, mut writer: FrameWriter<Conn>) -> io::Result<(u64, usize)> {
-        let mut st = self.state.lock().expect("shard link poisoned");
-        let acked = self.acked();
-        writer.write_frame(&Frame::Restore {
-            session: st.session,
-            boundary: acked,
-            checkpoint: QloveSummary::default(),
-        })?;
-        for frame in &st.ring {
-            writer.write_frame(frame)?;
-        }
-        writer.flush()?;
-        let replayed = st.ring.len();
-        st.writer = Some(writer);
-        Ok((acked, replayed))
-    }
-
-    fn fail(&self) {
-        let mut st = self.state.lock().expect("shard link poisoned");
-        st.failed = true;
-        st.writer = None;
-        self.cv.notify_all();
-    }
-}
-
-/// The collector's view of the whole worker fleet plus the recovery
-/// machinery. Lives on the calling thread; only the [`ShardLink`]s are
-/// shared with the dealer.
-struct Supervisor<'a, F> {
-    config: &'a QloveConfig,
-    policy: &'a RecoveryPolicy,
-    links: &'a [ShardLink],
-    readers: Vec<FrameReader<BufReader<Conn>>>,
-    breakers: Vec<Conn>,
-    respawn: F,
-    restarts: Vec<u32>,
-    journal: &'a EventJournal,
-    metrics: &'a [ShardMetrics],
-    worker_stats: Vec<WorkerStats>,
-}
-
-impl<F: FnMut(usize) -> io::Result<Conn>> Supervisor<'_, F> {
-    /// Read one frame from `shard`, probing through read deadlines.
-    /// `Err` carries the failure verdict, the silence observed before
-    /// it (µs), and the underlying error.
-    fn read_with_probe(&mut self, shard: usize) -> Result<Frame, (FailureKind, u64, io::Error)> {
-        let mut silent_since: Option<Stopwatch> = None;
-        let mut probed = false;
-        loop {
-            match self.readers[shard].read_frame() {
-                // A heartbeat echo is proof of life, not progress;
-                // reset the probe and keep waiting for the summary.
-                Ok(Frame::Heartbeat { .. }) => {
-                    silent_since = None;
-                    probed = false;
-                }
-                // A stats scrape reply is absorbed here (like the
-                // heartbeat echo) so it can arrive between any two
-                // expected frames; it also proves the worker is alive.
-                Ok(Frame::StatsReport {
-                    session,
-                    batches,
-                    events,
-                    boundaries,
-                    responses,
-                }) => {
-                    self.worker_stats[shard] = WorkerStats {
-                        session,
-                        batches,
-                        events,
-                        boundaries,
-                        responses,
-                    };
-                    silent_since = None;
-                    probed = false;
-                }
-                Ok(frame) => return Ok(frame),
-                Err(e) if is_timeout(&e) => {
-                    let since = *silent_since.get_or_insert_with(Stopwatch::start);
-                    if probed {
-                        return Err((FailureKind::Stall, since.elapsed_us(), e));
-                    }
-                    if self.links[shard].probe().is_err() {
-                        return Err((FailureKind::Crash, since.elapsed_us(), e));
-                    }
-                    probed = true;
-                }
-                Err(e) => {
-                    let detect_us = silent_since.map(|s| s.elapsed_us()).unwrap_or(0);
-                    return Err((FailureKind::Crash, detect_us, e));
-                }
-            }
-        }
-    }
-
-    /// One restart attempt: respawn, arm deadlines, handshake, restore
-    /// + replay, swap the read half in. Timings in µs.
-    fn try_restart(&mut self, shard: usize) -> io::Result<(u64, usize, u64, u64)> {
-        let restore_start = Stopwatch::start();
-        let conn = (self.respawn)(shard)?;
-        self.policy.arm(&conn)?;
-        let breaker = conn.try_clone()?;
-        let (reader, writer) = handshake(conn, shard as u64, self.config, WorkerMode::Shard)?;
-        let restore_us = restore_start.elapsed_us();
-        let replay_start = Stopwatch::start();
-        let (boundary, replayed) = self.links[shard].reinstall(writer)?;
-        let replay_us = replay_start.elapsed_us();
-        self.readers[shard] = reader;
-        self.breakers[shard] = breaker;
-        Ok((boundary, replayed, restore_us, replay_us))
-    }
-
-    /// Drive recovery of `shard` to completion or declare the run dead.
-    /// On success the shard has a live, restored worker and the caller
-    /// retries its read. The failure verdict and the terminal recovery
-    /// record both land in the run's event journal.
-    fn recover(
-        &mut self,
-        shard: usize,
-        kind: FailureKind,
-        detect_us: u64,
-        cause: io::Error,
-    ) -> io::Result<()> {
-        // Sever the old socket before anything else: a stalled worker
-        // that wakes up later must find its stream dead, never the
-        // recovered one.
-        let _ = self.breakers[shard].shutdown();
-
-        let stall = kind == FailureKind::Stall;
-        self.journal.emit(EventKind::Failure {
-            domain: shard,
-            boundary: self.links[shard].acked(),
-            stall,
-            detect_us,
-        });
-        let policy = self.policy;
-        let (restarts, outcome) =
-            drive_restarts(policy, shard as u64, self.restarts[shard], || {
-                self.try_restart(shard)
-            });
-        self.restarts[shard] = restarts;
-        let (boundary, replayed, restore_us, replay_us, recovered) = match outcome {
-            Some((boundary, replayed, restore_us, replay_us)) => {
-                (boundary, replayed, restore_us, replay_us, true)
-            }
-            None => (self.links[shard].acked(), 0, 0, 0, false),
-        };
-        self.journal.emit(EventKind::Recovery {
-            domain: shard,
-            boundary,
-            stall,
-            restarts,
-            detect_us,
-            restore_us,
-            replay_us,
-            replayed_frames: replayed,
-            recovered,
-        });
-        if recovered {
-            Ok(())
-        } else {
-            Err(cause)
-        }
-    }
-
-    /// Read (recovering as needed) until `shard` delivers its summary
-    /// for boundary `b`, then acknowledge it — pruning the replay ring.
-    fn expect_summary(&mut self, shard: usize, b: usize) -> io::Result<QloveSummary> {
-        loop {
-            match self.read_with_probe(shard) {
-                Ok(Frame::BoundarySummary {
-                    session,
-                    boundary,
-                    epoch: 0,
-                    summary,
-                }) if session == shard as u64 && boundary == b as u64 => {
-                    self.links[shard].ack(b as u64);
-                    self.metrics[shard]
-                        .summary_bytes
-                        .add(self.readers[shard].last_frame_len() as u64);
-                    self.metrics[shard].subwindow.set(summary.total() as i64);
-                    return Ok(summary);
-                }
-                Ok(other) => {
-                    return Err(protocol(format!(
-                        "expected summary for boundary {b}, got {other:?}"
-                    )))
-                }
-                Err((kind, detect_us, cause)) => self.recover(shard, kind, detect_us, cause)?,
-            }
-        }
-    }
-
-    /// Read (recovering as needed) until `shard` acknowledges shutdown.
-    /// Covers a worker dying *after* its last summary — the replay ring
-    /// tail is just the `Shutdown` frame then.
-    fn expect_shutdown_ack(&mut self, shard: usize) -> io::Result<()> {
-        loop {
-            match self.read_with_probe(shard) {
-                Ok(Frame::Shutdown) => return Ok(()),
-                Ok(other) => return Err(protocol(format!("expected shutdown ack, got {other:?}"))),
-                Err((kind, detect_us, cause)) => self.recover(shard, kind, detect_us, cause)?,
-            }
-        }
-    }
-
-    /// Terminal: stop every thread that could still be blocked — sever
-    /// all sockets, fail all links.
-    fn fail_all(&mut self) {
-        for conn in &self.breakers {
-            let _ = conn.shutdown();
-        }
-        for link in self.links {
-            link.fail();
-        }
-    }
-}
-
 /// Answer **one logical window** from worker processes reached over
 /// `conns` (one connection per shard, TCP or Unix-domain), with no
 /// supervision: any worker failure ends the run with an error.
@@ -849,13 +480,15 @@ pub fn run_over_sockets(
 /// `conns` (one connection per shard, TCP or Unix-domain), restarting
 /// failed workers according to `policy`.
 ///
-/// Dealing replicates the in-process executor exactly — element `i` of
-/// the logical stream goes to shard `i % shards`, batches never
-/// straddle a sub-window boundary — so the merged answers (and the
-/// coordinator's trailing partial sub-window) are **bit-identical** to
-/// a single-instance run and to the thread-backend `run_distributed`.
-/// A trailing partial sub-window is shipped and merged too, leaving it
-/// pending in `coordinator` rather than dropped.
+/// A fixed-shard run is a [`run_resharded`](crate::run_resharded) run
+/// with an empty schedule, on the same driver. Dealing replicates the
+/// in-process executor exactly — element `i` of the logical stream
+/// goes to shard `i % shards`, batches never straddle a sub-window
+/// boundary — so the merged answers (and the coordinator's trailing
+/// partial sub-window) are **bit-identical** to a single-instance run
+/// and to the thread-backend `run_distributed`. A trailing partial
+/// sub-window is shipped and merged too, leaving it pending in
+/// `coordinator` rather than dropped.
 ///
 /// When a worker crashes or stalls mid-run, `respawn(shard)` is called
 /// to produce a replacement connection (typically: spawn a process,
@@ -885,142 +518,24 @@ pub fn run_supervised<F>(
 where
     F: FnMut(usize) -> io::Result<Conn>,
 {
-    let shards = conns.len();
-    assert!(shards > 0, "need at least one shard");
-    let period = config.period;
-    assert!(period > 0, "need a positive sub-window period");
-    let boundaries = values.len().div_ceil(period);
-
-    // Per shard: the collector owns the read half, the shared link owns
-    // the write half (dealer writes through it, recovery replaces it),
-    // and a breaker handle exists only to sever the socket — unblocking
-    // whichever thread is stuck on a dead or frozen peer.
-    let mut readers = Vec::with_capacity(shards);
-    let mut breakers = Vec::with_capacity(shards);
-    let mut links = Vec::with_capacity(shards);
-    for (shard, conn) in conns.into_iter().enumerate() {
-        policy.arm(&conn)?;
-        breakers.push(conn.try_clone()?);
-        let (reader, writer) = handshake(conn, shard as u64, config, WorkerMode::Shard)?;
-        readers.push(reader);
-        links.push(ShardLink::new(shard as u64, writer, policy.enabled()));
-    }
-
-    // One journal per run plus per-shard metric handles (labeled into
-    // the process-global registry): observational only, never on the
-    // answer path.
-    let journal = EventJournal::new();
-    let metrics: Vec<ShardMetrics> = (0..shards).map(ShardMetrics::for_shard).collect();
-
-    let mut supervisor = Supervisor {
+    // An empty schedule never brings up a fresh worker, and the span
+    // steers only range routing, which an empty schedule does not use.
+    crate::reshard::drive(
         config,
+        coordinator,
+        conns,
+        values,
+        u64::MAX,
+        &[],
         policy,
-        links: &links,
-        readers,
-        breakers,
         respawn,
-        restarts: vec![0; shards],
-        journal: &journal,
-        metrics: &metrics,
-        worker_stats: vec![WorkerStats::default(); shards],
-    };
-
-    let (answers, stats, worker_stats) = thread::scope(|scope| -> io::Result<_> {
-        let links_ref = &links;
-        let metrics_ref = &metrics;
-        let dealer = scope.spawn(move || -> io::Result<()> {
-            let mut bufs: Vec<Vec<u64>> = (0..shards)
-                .map(|_| Vec::with_capacity(BATCH.min(period)))
-                .collect();
-            for (b, chunk) in values.chunks(period).enumerate() {
-                let start = b * period;
-                for (i, &v) in chunk.iter().enumerate() {
-                    let shard = (start + i) % shards;
-                    bufs[shard].push(v);
-                    if bufs[shard].len() == BATCH {
-                        metrics_ref[shard].routed.add(bufs[shard].len() as u64);
-                        links_ref[shard].deal(Frame::EventBatch {
-                            session: shard as u64,
-                            values: std::mem::take(&mut bufs[shard]),
-                        })?;
-                        bufs[shard].reserve(BATCH.min(period));
-                    }
-                }
-                for (shard, link) in links_ref.iter().enumerate() {
-                    if !bufs[shard].is_empty() {
-                        metrics_ref[shard].routed.add(bufs[shard].len() as u64);
-                        link.deal(Frame::EventBatch {
-                            session: shard as u64,
-                            values: std::mem::take(&mut bufs[shard]),
-                        })?;
-                    }
-                    link.deal(Frame::Boundary {
-                        session: shard as u64,
-                        boundary: b as u64,
-                    })?;
-                }
-            }
-            for (shard, link) in links_ref.iter().enumerate() {
-                // Scrape worker counters before shutdown: the request
-                // rides the replay ring like any dealt frame, so a
-                // recovering worker replays (and re-answers) it, and
-                // ordering guarantees the report precedes the
-                // shutdown ack.
-                link.deal(Frame::StatsRequest {
-                    session: shard as u64,
-                })?;
-                link.deal(Frame::Shutdown)?;
-            }
-            Ok(())
-        });
-
-        // Collector + double-buffered merger (the shared pipelined
-        // coordinator core).
-        let collect = |b: usize, group: &mut Vec<QloveSummary>| -> io::Result<()> {
-            let mut total = 0u64;
-            for shard in 0..shards {
-                let summary = supervisor.expect_summary(shard, b)?;
-                total += summary.total();
-                group.push(summary);
-            }
-            // The group must stand for exactly the elements dealt into
-            // this boundary — anything else would poison (or panic)
-            // the merge.
-            let expected = (values.len() - b * period).min(period) as u64;
-            if total != expected {
-                return Err(protocol(format!(
-                    "boundary {b}: summaries cover {total} elements, dealt {expected}"
-                )));
-            }
-            Ok(())
-        };
-        let merged = coordinate_pipelined(coordinator, boundaries, collect);
-
-        // Confirm every worker acknowledged shutdown before declaring
-        // the run clean (they exit right after).
-        let finished = merged.and_then(|ok| {
-            for shard in 0..shards {
-                supervisor.expect_shutdown_ack(shard)?;
-            }
-            Ok(ok)
-        });
-        if finished.is_err() {
-            // Unblock the dealer (and any wedged worker) before
-            // joining.
-            supervisor.fail_all();
-        }
-        let dealt = join_io(dealer, "dealer");
-        let (answers, stats) = finished?;
-        dealt?;
-        Ok((answers, stats, supervisor.worker_stats))
-    })?;
-    Ok(DistributedRun {
-        answers,
-        stats,
-        failures: failures_view(&journal),
-        journal,
-        worker_stats,
-    })
+        |conn| {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("connection {conn}: a fixed-shard run opens no fresh workers"),
+            ))
+        },
+    )
 }
 
 /// Stream `values` to a single remote **full operator** and collect its
@@ -1032,24 +547,17 @@ where
 /// locally (locked by the transport differential test). The write side
 /// runs on its own thread so a slow operator can never deadlock the
 /// answer stream against the event stream.
-pub fn run_remote_operator(
-    config: &QloveConfig,
-    conn: Conn,
-    values: &[u64],
-) -> io::Result<Vec<QloveAnswer>> {
-    run_remote_operator_with_policy(config, conn, values, &RecoveryPolicy::disabled())
-}
-
-/// [`run_remote_operator`] with hang *detection* (not recovery).
 ///
-/// A remote operator holds the full window state, which the ingest side
-/// deliberately does not mirror — so a dead operator cannot be rebuilt
-/// by replay and recovery is impossible by design. What `policy` adds
-/// here is detection: with a heartbeat deadline set, a crashed or
-/// frozen operator turns into a prompt `TimedOut`/`BrokenPipe` error
-/// instead of blocking the caller forever. `max_restarts`, `backoff`,
-/// and the respawn machinery do not apply.
-pub fn run_remote_operator_with_policy(
+/// `policy` adds hang *detection*, not recovery. A remote operator
+/// holds the full window state, which the ingest side deliberately does
+/// not mirror — so a dead operator cannot be rebuilt by replay and
+/// recovery is impossible by design. With a heartbeat deadline set, a
+/// crashed or frozen operator turns into a prompt
+/// `TimedOut`/`BrokenPipe` error instead of blocking the caller
+/// forever; [`RecoveryPolicy::disabled`] blocks until the operator
+/// answers or its socket dies. `max_restarts`, `backoff`, and the
+/// respawn machinery do not apply.
+pub fn run_remote_operator(
     config: &QloveConfig,
     conn: Conn,
     values: &[u64],
@@ -1059,7 +567,13 @@ pub fn run_remote_operator_with_policy(
     let breaker = conn.try_clone()?;
     // The remote operator is the connection's only session: id 0.
     const SESSION: u64 = 0;
-    let (mut reader, writer) = handshake(conn, SESSION, config, WorkerMode::Operator)?;
+    let (mut reader, mut writer) = hello_handshake(conn)?;
+    writer.write_frame(&Frame::OpenSession {
+        session: SESSION,
+        config: config.clone(),
+        mode: WorkerMode::Operator,
+    })?;
+    writer.flush()?;
     // The feeder and the collector's heartbeat probes share the write
     // half; the mutex is uncontended except while a probe is in flight.
     let writer = Mutex::new(writer);

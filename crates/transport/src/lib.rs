@@ -21,28 +21,26 @@
 //!   round-robin fairness across sessions with pending input and a
 //!   per-session backpressure bound so one hot window cannot starve
 //!   the rest.
-//! * [`coordinator`] — the pipelined coordinator: deals one logical
-//!   stream across N single-session worker connections, collects each
-//!   boundary's summary group, and merges it through the
-//!   double-buffered core shared with the in-process thread executor
-//!   (`qlove_stream::coordinate_pipelined`). Under a
-//!   [`RecoveryPolicy`], `run_supervised` adds worker supervision:
-//!   heartbeat failure detection, checkpoint restore, and exact replay
-//!   from a bounded per-shard ring of unacknowledged frames.
+//! * [`coordinator`] — one logical stream dealt across N worker
+//!   connections: [`run_over_sockets`], and [`run_supervised`] under a
+//!   [`RecoveryPolicy`] (heartbeat failure detection, checkpoint
+//!   restore, exact replay from a bounded per-connection ring of
+//!   unacknowledged frames), plus the remote-operator offload path.
 //! * [`sessions`] — the transpose of the coordinator: N whole windows
 //!   multiplexed over **one** worker connection ([`run_sessions`]),
 //!   with per-session replay rings and per-session `Restore` recovery
 //!   under supervision ([`run_sessions_supervised`]) — a respawned
 //!   process re-hosts every unfinished session, restoring each to its
 //!   own acknowledged boundary.
-//! * [`reshard`] — **live resharding**: [`run_resharded`] applies a
-//!   static schedule of shard splits and merges mid-window — boundary
-//!   checkpoints run through the core split/merge helpers, successor
-//!   sessions opened and restored on an (optionally fresh) worker,
-//!   epochs stamped on every summary so boundary groups can never mix
-//!   across a swap — with ingest paused for at most one sub-window
-//!   gap, composing with the same per-connection replay-ring
-//!   supervision as the other layers.
+//! * [`reshard`] — the one dealer/collector/link driver behind both
+//!   coordinator entry points, merging each boundary group through the
+//!   double-buffered core shared with the in-process thread executor
+//!   (`qlove_stream::coordinate_pipelined`), plus **live resharding**:
+//!   [`run_resharded`] applies a static schedule of shard splits and
+//!   merges mid-window, epochs stamped on every summary so groups can
+//!   never mix across a swap, with ingest paused for at most one
+//!   sub-window gap. A fixed-shard run is a resharded run with an
+//!   empty schedule.
 //! * [`chaos`] — the reusable seed-deterministic fault-injection
 //!   harness the recovery tests share: a byte-level proxy that can
 //!   cut, delay, or duplicate coordinator→worker frames at exact
@@ -71,13 +69,12 @@ pub mod worker;
 
 pub use chaos::{interpose, ChaosProxy, CutAfter, Fate, FaultInjector, NoFaults, SeededRng};
 pub use coordinator::{
-    run_over_sockets, run_remote_operator, run_remote_operator_with_policy, run_supervised,
-    DistributedRun, FailureEvent, FailureKind, RecoveryPolicy, TransportError, WorkerStats,
-    MAX_RING_BOUNDARIES,
+    run_over_sockets, run_remote_operator, run_supervised, DistributedRun, FailureEvent,
+    FailureKind, RecoveryPolicy, TransportError, WorkerStats, MAX_RING_BOUNDARIES,
 };
 pub use net::{Conn, Endpoint, Listener};
 pub use proto::{Frame, FrameReader, FrameWriter, Role, WorkerMode, PROTOCOL_VERSION};
-pub use reshard::{run_resharded, ReshardEvent, ReshardRun};
+pub use reshard::{run_resharded, ReshardEvent};
 pub use sessions::{
     run_sessions, run_sessions_supervised, SessionOutcome, SessionSpec, SessionsRun,
 };
@@ -159,7 +156,13 @@ mod tests {
         let data: Vec<u64> = (0..9_111u64).map(|i| (i * 7919) % 4_999).collect();
         let want = sequential(&cfg, &data);
         let (mut conns, joins) = tcp_workers(1).unwrap();
-        let answers = run_remote_operator(&cfg, conns.pop().unwrap(), &data).unwrap();
+        let answers = run_remote_operator(
+            &cfg,
+            conns.pop().unwrap(),
+            &data,
+            &RecoveryPolicy::disabled(),
+        )
+        .unwrap();
         assert_eq!(answers, want);
         let report = joins.into_iter().next().unwrap().join().unwrap().unwrap();
         assert_eq!(report.sessions_served(), 1);
@@ -540,16 +543,18 @@ mod tests {
 
     /// Regression: the unsupervised coordinator once deadlocked against
     /// a worker whose summary burst outgrows the socket buffer. The
-    /// dealer blocked in a socket write while holding the shard link's
-    /// lock, the collector blocked on that lock to acknowledge a
-    /// summary, so nobody drained the worker, which in turn stopped
-    /// reading the dealer's batches. A watchdog turns the hang into a
-    /// failure.
+    /// dealer blocked in a socket write while holding the link's lock,
+    /// the collector blocked on that lock to acknowledge a summary, so
+    /// nobody drained the worker, which in turn stopped reading the
+    /// dealer's batches. Both one-window entry points are driven: a
+    /// fixed-shard run and a resharded run with an empty schedule. A
+    /// watchdog turns the hang into a failure.
     #[cfg(unix)]
     #[test]
     fn bursty_worker_cannot_deadlock_an_unsupervised_run() {
         use std::os::unix::net::UnixStream;
         use std::sync::mpsc;
+        type Runner = fn(&QloveConfig, &mut Qlove, Conn, &[u64]) -> io::Result<DistributedRun>;
         // Unquantized tree summaries of 10K distinct values (~60 KB
         // each): a burst of 8 is far beyond a Unix socket's buffer.
         let cfg = QloveConfig::new(&[0.5, 0.99], 40_000, 10_000)
@@ -559,27 +564,122 @@ mod tests {
             .map(|i| (i * 2654435761) % (1 << 48))
             .collect();
         let want = sequential(&cfg, &data);
-        let (ours, theirs) = UnixStream::pair().unwrap();
-        let breaker = ours.try_clone().unwrap();
-        let worker = std::thread::spawn(move || bursty_shard_worker(Conn::Unix(theirs), 8));
-        let (tx, rx) = mpsc::channel();
-        let run_cfg = cfg.clone();
-        let coordinator = std::thread::spawn(move || {
-            let mut coordinator = Qlove::new(run_cfg.clone());
-            let run = run_over_sockets(&run_cfg, &mut coordinator, vec![Conn::Unix(ours)], &data);
-            let _ = tx.send(run);
-        });
-        let run = match rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(run) => run.unwrap(),
-            Err(_) => {
-                // Sever the socket so the stuck threads error out.
-                let _ = breaker.shutdown(std::net::Shutdown::Both);
-                panic!("run_over_sockets deadlocked against a bursty worker");
-            }
+        let runners: [(&str, Runner); 2] = [
+            ("run_over_sockets", |cfg, coordinator, conn, data| {
+                run_over_sockets(cfg, coordinator, vec![conn], data)
+            }),
+            ("run_resharded", |cfg, coordinator, conn, data| {
+                run_resharded(
+                    cfg,
+                    coordinator,
+                    vec![conn],
+                    data,
+                    1 << 48,
+                    &[],
+                    &RecoveryPolicy::disabled(),
+                    |_| Err(io::Error::other("an empty schedule opens no workers")),
+                )
+            }),
+        ];
+        for (name, runner) in runners {
+            let (ours, theirs) = UnixStream::pair().unwrap();
+            let breaker = ours.try_clone().unwrap();
+            let worker = std::thread::spawn(move || bursty_shard_worker(Conn::Unix(theirs), 8));
+            let (tx, rx) = mpsc::channel();
+            let run_cfg = cfg.clone();
+            let run_data = data.clone();
+            let coordinator = std::thread::spawn(move || {
+                let mut coordinator = Qlove::new(run_cfg.clone());
+                let run = runner(&run_cfg, &mut coordinator, Conn::Unix(ours), &run_data);
+                let _ = tx.send(run);
+            });
+            let run = match rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(run) => run.unwrap(),
+                Err(_) => {
+                    // Sever the socket so the stuck threads error out.
+                    let _ = breaker.shutdown(std::net::Shutdown::Both);
+                    panic!("{name} deadlocked against a bursty worker");
+                }
+            };
+            assert_eq!(run.answers, want, "{name}");
+            coordinator.join().unwrap();
+            worker.join().unwrap().unwrap();
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn worker_stats_follow_the_routing() {
+        use qlove_stream::parallel::{ReshardPlan, ReshardSchedule, ReshardSpec};
+        use std::os::unix::net::UnixStream;
+        let handles = std::sync::Mutex::new(Vec::new());
+        let uds_worker = || -> io::Result<Conn> {
+            let (ours, theirs) = UnixStream::pair()?;
+            let worker = std::thread::spawn(move || serve_stream(Conn::Unix(theirs)));
+            handles.lock().unwrap().push(worker);
+            Ok(Conn::Unix(ours))
         };
+        let cfg = config(); // period 500
+        let data: Vec<u64> = (0..6_250u64).map(|i| (i * 2654435761) % 9_973).collect();
+        let want = sequential(&cfg, &data);
+
+        // Fixed shards deal round-robin: shard k ingests exactly the
+        // indices i ≡ k (mod 3).
+        let conns: Vec<Conn> = (0..3).map(|_| uds_worker().unwrap()).collect();
+        let mut coordinator = Qlove::new(cfg.clone());
+        let run = run_over_sockets(&cfg, &mut coordinator, conns, &data).unwrap();
         assert_eq!(run.answers, want);
-        coordinator.join().unwrap();
-        worker.join().unwrap().unwrap();
+        assert_eq!(run.worker_stats.len(), 3);
+        for (k, stats) in run.worker_stats.iter().enumerate() {
+            let dealt = (0..data.len()).filter(|i| i % 3 == k).count() as u64;
+            assert_eq!(stats.session, k as u64);
+            assert_eq!(stats.events, dealt, "shard {k}");
+            assert_eq!(stats.boundaries, run.stats.boundaries as u64, "shard {k}");
+        }
+
+        // A split retires slot 0 for slots 2 and 3: one entry per
+        // session live at the end, counting what it ingested.
+        let span = 9_973;
+        let specs = [ReshardSpec {
+            boundary: 4,
+            plan: ReshardPlan::Split {
+                slot: 0,
+                pivot: 2_000,
+            },
+        }];
+        let schedule = ReshardSchedule::build(2, span, &specs).unwrap();
+        let mut routed = vec![0u64; schedule.slot_count()];
+        for (i, &v) in data.iter().enumerate() {
+            let epoch = schedule.epoch_at((i / cfg.period) as u64);
+            routed[schedule.table(epoch).route(v)] += 1;
+        }
+        let conns: Vec<Conn> = (0..2).map(|_| uds_worker().unwrap()).collect();
+        let mut coordinator = Qlove::new(cfg.clone());
+        let run = run_resharded(
+            &cfg,
+            &mut coordinator,
+            conns,
+            &data,
+            span,
+            &specs,
+            &RecoveryPolicy::disabled(),
+            |_| uds_worker(),
+        )
+        .unwrap();
+        assert_eq!(run.answers, want);
+        assert_eq!(run.events.len(), 1);
+        let sessions: Vec<u64> = run.worker_stats.iter().map(|s| s.session).collect();
+        assert_eq!(sessions, vec![1, 2, 3]);
+        for stats in &run.worker_stats {
+            assert_eq!(
+                stats.events, routed[stats.session as usize],
+                "slot {}",
+                stats.session
+            );
+        }
+        for worker in handles.into_inner().unwrap() {
+            worker.join().unwrap().unwrap();
+        }
     }
 
     #[test]

@@ -1,6 +1,10 @@
-//! Live resharding: elastic shard split/merge **mid-window** on the
-//! socket runtime — the shard set changes while the window runs, with
-//! answers still bit-identical to a sequential single-instance run.
+//! The one socket driver for a logical window, with live resharding:
+//! shard splits and merges **mid-window**, answers still bit-identical
+//! to a sequential single-instance run. A fixed-shard run
+//! ([`run_supervised`](crate::run_supervised)) is a resharded run with
+//! an empty schedule, dealt round-robin (element `i` to shard
+//! `i % shards`); range routing applies only once a reshard is
+//! scheduled.
 //!
 //! The schedule is static: every [`ReshardSpec`] (a split or merge
 //! pinned to a sub-window boundary) is validated upfront into a
@@ -40,38 +44,34 @@
 //! ## Composition with supervision
 //!
 //! Recovery is per **connection** (a connection can briefly host two
-//! sessions: a retiring parent and its successor). Every frame dealt
-//! to a connection — including the swap's `CloseSession` /
-//! `OpenSession` / `Restore` / `Reshard` control frames — rides one
-//! per-connection replay ring, pruned on boundary acknowledgement
-//! exactly like the single-session rings in
-//! [`run_supervised`](crate::coordinator::run_supervised). A worker
-//! killed *during* a reshard is therefore recovered by the ordinary
-//! mechanism: respawn, re-open the sessions that predate the ring
-//! (tracked as the ring's base state), `Restore` each to its
+//! sessions: a retiring parent and its successor). Under a restartable
+//! policy every frame dealt to a connection — including the swap's
+//! `CloseSession` / `OpenSession` / `Restore` / `Reshard` control
+//! frames — rides that connection's replay ring, pruned on boundary
+//! acknowledgement; a fixed-shard run has exactly one such ring per
+//! shard. A worker killed *during* a reshard is therefore recovered by
+//! the ordinary mechanism: respawn, re-open the sessions that predate
+//! the ring (tracked as the ring's base state), `Restore` each to its
 //! acknowledged boundary, re-stamp its epoch, replay the tail — which
 //! replays the in-flight swap itself, in order, at the exact stream
 //! positions it originally held.
 
 use crate::coordinator::{
-    drive_restarts, failures_view, hello_handshake, is_timeout, join_io, FailureEvent, FailureKind,
-    RecoveryPolicy, MAX_RING_BOUNDARIES,
+    drive_restarts, failures_view, hello_handshake, is_timeout, join_io, protocol, DistributedRun,
+    FailureKind, RecoveryPolicy, ShardMetrics, WorkerStats, MAX_RING_BOUNDARIES,
 };
 use crate::net::Conn;
 use crate::proto::{Frame, FrameReader, FrameWriter, WorkerMode};
-use qlove_core::{Qlove, QloveAnswer, QloveConfig, QloveSummary};
+use qlove_core::{Qlove, QloveConfig, QloveSummary};
+use qlove_stream::coordinate_pipelined;
 use qlove_stream::parallel::{ReshardPlan, ReshardSchedule, ReshardSpec, BATCH};
-use qlove_stream::{coordinate_pipelined, PipelineStats};
 use qlove_telemetry::{EventJournal, EventKind, Stopwatch};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufReader};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-fn protocol(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// One executed reshard, with the metrics the acceptance gate and the
 /// bench report care about.
@@ -99,26 +99,6 @@ pub struct ReshardEvent {
     /// Serialized bytes of the successor checkpoints carried by the
     /// swap's `Restore` frames.
     pub checkpoint_bytes: usize,
-}
-
-/// Result of a resharded socket-distributed run.
-#[derive(Debug)]
-pub struct ReshardRun {
-    /// The merged window evaluations, bit-identical to a
-    /// single-instance run over the undealt stream.
-    pub answers: Vec<QloveAnswer>,
-    /// Pipeline timing (same meaning as in unresharded runs).
-    pub stats: PipelineStats,
-    /// Worker failures detected during the run and how recovery went.
-    /// `shard` on each event is the **connection index** here. A view
-    /// materialized from [`ReshardRun::journal`].
-    pub failures: Vec<FailureEvent>,
-    /// The reshards actually executed, in boundary order. A view
-    /// materialized from [`ReshardRun::journal`].
-    pub events: Vec<ReshardEvent>,
-    /// The run's structured event journal: reshard, pause, failure,
-    /// and recovery records interleaved in causal order on one clock.
-    pub journal: EventJournal,
 }
 
 /// Materialize the [`ReshardEvent`] view from a run's journal: every
@@ -189,6 +169,8 @@ struct ConnPlan {
     /// Connection index → boundary at whose swap it receives
     /// `Shutdown` (merges only); `None` = lives to the end of the run.
     retired_at: Vec<Option<u64>>,
+    /// Connection index → sessions the schedule closes on it.
+    closing: Vec<Vec<u64>>,
 }
 
 impl ConnPlan {
@@ -197,10 +179,14 @@ impl ConnPlan {
             conn_of: (0..shards).collect(),
             opened_at: vec![0; shards],
             retired_at: vec![None; shards],
+            closing: vec![Vec::new(); shards],
         };
         for epoch in 1..schedule.len() as u64 {
             let b = schedule.from_boundary(epoch);
             let delta = schedule.delta(epoch).expect("epoch > 0 has a delta");
+            for &p in &delta.retired {
+                plan.closing[plan.conn_of[p]].push(p as u64);
+            }
             // Slot ids are dense and created in order, so each created
             // slot extends conn_of by exactly one entry.
             match delta.plan {
@@ -213,6 +199,7 @@ impl ConnPlan {
                     plan.conn_of.push(fresh); // high half: new worker
                     plan.opened_at.push(b);
                     plan.retired_at.push(None);
+                    plan.closing.push(Vec::new());
                 }
                 ReshardPlan::Merge { .. } => {
                     let (left, right) = (delta.retired[0], delta.retired[1]);
@@ -247,34 +234,46 @@ struct BaseSession {
     epoch: u64,
 }
 
-struct ConnState {
-    retain: bool,
+struct LinkState {
     ring: VecDeque<Frame>,
     ring_boundaries: usize,
     /// Sessions predating the ring, with their restore coordinates.
     base: Vec<BaseSession>,
-    /// Sessions ever closed on this connection: their `CloseSession`
-    /// acks are expected (possibly more than once, after a replay) and
-    /// skipped by the collector.
-    closing: HashSet<u64>,
+    /// `None` while the connection is down: frames keep ringing and
+    /// recovery replays them.
     writer: Option<FrameWriter<Conn>>,
     failed: bool,
 }
 
 struct ConnLink {
-    state: Mutex<ConnState>,
+    /// Whether dealt frames are retained for replay (`false` when the
+    /// policy cannot restart workers). Immutable and outside the mutex:
+    /// without retention the collector's acks never take the lock, so
+    /// it keeps reading while the dealer is blocked in a socket write
+    /// holding it — otherwise dealer, collector, and a worker with a
+    /// full outbound buffer deadlock.
+    retain: bool,
+    /// Highest acknowledged boundary + 1, for the journal's failure and
+    /// recovery records; atomic so the lock-free ack path keeps it.
+    acked: AtomicU64,
+    /// Sessions the schedule closes on this connection: their
+    /// `CloseSession` acks (possibly repeated by a replay) are skipped.
+    /// Static, so the lookup takes no lock either.
+    closing: Vec<u64>,
+    state: Mutex<LinkState>,
     cv: Condvar,
 }
 
 impl ConnLink {
-    fn new(base: Vec<BaseSession>, retain: bool) -> Self {
+    fn new(base: Vec<BaseSession>, closing: Vec<u64>, retain: bool) -> Self {
         Self {
-            state: Mutex::new(ConnState {
-                retain,
+            retain,
+            acked: AtomicU64::new(0),
+            closing,
+            state: Mutex::new(LinkState {
                 ring: VecDeque::new(),
                 ring_boundaries: 0,
                 base,
-                closing: HashSet::new(),
                 writer: None,
                 failed: false,
             }),
@@ -300,14 +299,11 @@ impl ConnLink {
             }
         }
         if st.failed {
-            return Err(io::Error::other("resharded run aborted"));
-        }
-        if let Frame::CloseSession { session } = frame {
-            st.closing.insert(session);
+            return Err(io::Error::other("distributed run aborted"));
         }
         let flush = is_boundary || matches!(frame, Frame::Shutdown);
         let st = &mut *st;
-        let frame = if st.retain {
+        let frame = if self.retain {
             st.ring.push_back(frame);
             if is_boundary {
                 st.ring_boundaries += 1;
@@ -333,6 +329,12 @@ impl ConnLink {
     /// pruned session-lifecycle frame into the base state, and wake a
     /// dealer waiting on ring space.
     fn ack_through(&self, slot: u64, b: u64) {
+        self.acked.fetch_max(b + 1, Ordering::Relaxed);
+        if !self.retain {
+            // Nothing rung, and an unsupervised dealer never parks on
+            // ring backpressure: no lock, no one to wake (see `retain`).
+            return;
+        }
         let mut st = self.state.lock().expect("conn link poisoned");
         let st = &mut *st;
         while let Some(frame) = st.ring.pop_front() {
@@ -370,19 +372,8 @@ impl ConnLink {
         self.cv.notify_all();
     }
 
-    fn is_closing(&self, session: u64) -> bool {
-        self.state
-            .lock()
-            .expect("conn link poisoned")
-            .closing
-            .contains(&session)
-    }
-
-    /// Lowest restore boundary among base sessions (for failure
-    /// reporting).
-    fn restored_boundary(&self) -> u64 {
-        let st = self.state.lock().expect("conn link poisoned");
-        st.base.iter().map(|s| s.acked).min().unwrap_or(0)
+    fn acked(&self) -> u64 {
+        self.acked.load(Ordering::Relaxed)
     }
 
     /// Ask the worker for a heartbeat echo; fails when the link is
@@ -496,7 +487,7 @@ impl Registry {
                 return Ok(entry);
             }
             if st.aborted {
-                return Err(io::Error::other("resharded run aborted"));
+                return Err(io::Error::other("distributed run aborted"));
             }
             let now = Instant::now();
             if now >= end {
@@ -524,21 +515,24 @@ impl Registry {
 // Collector
 // ---------------------------------------------------------------------------
 
-struct Collector<'a, F> {
+struct Collector<'a, R> {
     config: &'a QloveConfig,
     policy: &'a RecoveryPolicy,
     links: &'a [ConnLink],
     readers: Vec<Option<FrameReader<BufReader<Conn>>>>,
     breakers: Vec<Option<Conn>>,
     registry: &'a Registry,
-    connect: &'a Mutex<F>,
+    respawn: R,
     restarts: Vec<u32>,
     journal: &'a EventJournal,
+    metrics: &'a [ShardMetrics],
+    /// Latest scraped counters, indexed by slot.
+    worker_stats: Vec<WorkerStats>,
 }
 
 type Verdict = (FailureKind, u64, io::Error);
 
-impl<F: FnMut(usize) -> io::Result<Conn>> Collector<'_, F> {
+impl<R: FnMut(usize) -> io::Result<Conn>> Collector<'_, R> {
     /// Make sure `conn`'s read half is installed, fetching it from the
     /// registry for connections born mid-run.
     fn ensure_reader(&mut self, conn: usize) -> Result<(), Verdict> {
@@ -564,8 +558,7 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Collector<'_, F> {
         }
     }
 
-    /// Read one frame from `conn`, probing through read deadlines
-    /// (same verdict protocol as the single-session supervisor).
+    /// Read one frame from `conn`, probing through read deadlines.
     fn read_with_probe(&mut self, conn: usize) -> Result<Frame, Verdict> {
         self.ensure_reader(conn)?;
         let mut silent_since: Option<Stopwatch> = None;
@@ -574,6 +567,27 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Collector<'_, F> {
             let reader = self.readers[conn].as_mut().expect("reader just ensured");
             match reader.read_frame() {
                 Ok(Frame::Heartbeat { .. }) => {
+                    silent_since = None;
+                    probed = false;
+                }
+                // A stats reply, like a heartbeat echo, may arrive
+                // between any two expected frames and proves life.
+                Ok(Frame::StatsReport {
+                    session,
+                    batches,
+                    events,
+                    boundaries,
+                    responses,
+                }) => {
+                    if let Some(stats) = self.worker_stats.get_mut(session as usize) {
+                        *stats = WorkerStats {
+                            session,
+                            batches,
+                            events,
+                            boundaries,
+                            responses,
+                        };
+                    }
                     silent_since = None;
                     probed = false;
                 }
@@ -598,19 +612,20 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Collector<'_, F> {
 
     /// One restart attempt: respawn, arm, handshake, base restore +
     /// ring replay (which re-executes any in-flight swap), swap the
-    /// read half in.
-    fn try_restart(&mut self, conn: usize) -> io::Result<usize> {
-        let fresh = {
-            let mut connect = self.connect.lock().expect("connect hook poisoned");
-            connect(conn)?
-        };
+    /// read half in. Returns `(frames replayed, restore µs, replay µs)`.
+    fn try_restart(&mut self, conn: usize) -> io::Result<(usize, u64, u64)> {
+        let restore = Stopwatch::start();
+        let fresh = (self.respawn)(conn)?;
         self.policy.arm(&fresh)?;
         let breaker = fresh.try_clone()?;
         let (reader, writer) = hello_handshake(fresh)?;
+        let restore_us = restore.elapsed_us();
+        let replay = Stopwatch::start();
         let replayed = self.links[conn].reinstall(writer, self.config)?;
+        let replay_us = replay.elapsed_us();
         self.readers[conn] = Some(reader);
         self.breakers[conn] = Some(breaker);
-        Ok(replayed)
+        Ok((replayed, restore_us, replay_us))
     }
 
     /// Drive recovery of `conn` to completion or declare the run dead.
@@ -624,29 +639,27 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Collector<'_, F> {
         let stall = kind == FailureKind::Stall;
         self.journal.emit(EventKind::Failure {
             domain: conn,
-            boundary: self.links[conn].restored_boundary(),
+            boundary: self.links[conn].acked(),
             stall,
             detect_us,
         });
         let policy = self.policy;
         let (restarts, outcome) = drive_restarts(policy, conn as u64, self.restarts[conn], || {
-            let restore = Stopwatch::start();
-            let replayed = self.try_restart(conn)?;
-            Ok((replayed, restore.elapsed_us()))
+            self.try_restart(conn)
         });
         self.restarts[conn] = restarts;
-        let (replayed, restore_us, recovered) = match outcome {
-            Some((replayed, restore_us)) => (replayed, restore_us, true),
-            None => (0, 0, false),
+        let (replayed, restore_us, replay_us, recovered) = match outcome {
+            Some((replayed, restore_us, replay_us)) => (replayed, restore_us, replay_us, true),
+            None => (0, 0, 0, false),
         };
         self.journal.emit(EventKind::Recovery {
             domain: conn,
-            boundary: self.links[conn].restored_boundary(),
+            boundary: self.links[conn].acked(),
             stall,
             restarts,
             detect_us,
             restore_us,
-            replay_us: 0,
+            replay_us,
             replayed_frames: replayed,
             recovered,
         });
@@ -677,9 +690,15 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Collector<'_, F> {
                     summary,
                 }) if session == slot && boundary == b && got == epoch => {
                     self.links[conn].ack_through(slot, b);
+                    let metrics = &self.metrics[slot as usize];
+                    if let Some(reader) = &self.readers[conn] {
+                        metrics.summary_bytes.add(reader.last_frame_len() as u64);
+                    }
+                    metrics.subwindow.set(summary.total() as i64);
                     return Ok(summary);
                 }
-                Ok(Frame::CloseSession { session }) if self.links[conn].is_closing(session) => {}
+                Ok(Frame::CloseSession { session })
+                    if self.links[conn].closing.contains(&session) => {}
                 Ok(other) => {
                     return Err(protocol(format!(
                         "expected summary for slot {slot} boundary {b} epoch {epoch}, \
@@ -696,7 +715,8 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Collector<'_, F> {
         loop {
             match self.read_with_probe(conn) {
                 Ok(Frame::Shutdown) => return Ok(()),
-                Ok(Frame::CloseSession { session }) if self.links[conn].is_closing(session) => {}
+                Ok(Frame::CloseSession { session })
+                    if self.links[conn].closing.contains(&session) => {}
                 Ok(other) => return Err(protocol(format!("expected shutdown ack, got {other:?}"))),
                 Err(verdict) => self.recover(conn, verdict)?,
             }
@@ -743,15 +763,12 @@ impl<F: FnMut(usize) -> io::Result<Conn>> Collector<'_, F> {
 /// Bring a fresh worker connection up: connect, arm deadlines, hello
 /// handshake. Returns the read half + breaker for the registry and the
 /// write half for the link.
-fn open_fresh<F: FnMut(usize) -> io::Result<Conn>>(
+fn open_fresh<D: Fn(usize) -> io::Result<Conn>>(
     conn: usize,
-    connect: &Mutex<F>,
+    hook: &D,
     policy: &RecoveryPolicy,
 ) -> io::Result<(ReadHalf, FrameWriter<Conn>)> {
-    let fresh = {
-        let mut connect = connect.lock().expect("connect hook poisoned");
-        connect(conn)?
-    };
+    let fresh = hook(conn)?;
     policy.arm(&fresh)?;
     let breaker = fresh.try_clone()?;
     let (reader, writer) = hello_handshake(fresh)?;
@@ -761,7 +778,7 @@ fn open_fresh<F: FnMut(usize) -> io::Result<Conn>>(
 /// Execute the swap opening `epoch`, between dealing sub-window
 /// `boundary - 1` and sub-window `boundary`.
 #[allow(clippy::too_many_arguments)]
-fn execute_swap<F: FnMut(usize) -> io::Result<Conn>>(
+fn execute_swap<D: Fn(usize) -> io::Result<Conn>>(
     epoch: u64,
     schedule: &ReshardSchedule,
     plan: &ConnPlan,
@@ -769,7 +786,7 @@ fn execute_swap<F: FnMut(usize) -> io::Result<Conn>>(
     config: &QloveConfig,
     policy: &RecoveryPolicy,
     registry: &Registry,
-    connect: &Mutex<F>,
+    fresh: &D,
     open_conns: &mut HashSet<usize>,
 ) -> io::Result<ReshardEvent> {
     let b = schedule.from_boundary(epoch);
@@ -819,7 +836,7 @@ fn execute_swap<F: FnMut(usize) -> io::Result<Conn>>(
             // up is not fatal here: the frames below are retained in
             // the (parked) link's ring, and the collector's ordinary
             // recovery path brings the connection up and replays them.
-            match open_fresh(conn, connect, policy) {
+            match open_fresh(conn, fresh, policy) {
                 Ok((read_half, writer)) => {
                     links[conn].install_writer(writer);
                     registry.deposit(conn, Some(read_half));
@@ -905,9 +922,46 @@ pub fn run_resharded<F>(
     specs: &[ReshardSpec],
     policy: &RecoveryPolicy,
     connect: F,
-) -> io::Result<ReshardRun>
+) -> io::Result<DistributedRun>
 where
     F: FnMut(usize) -> io::Result<Conn> + Send,
+{
+    // The dealer brings up a split's fresh worker and the collector
+    // respawns failed ones, both through the one caller hook.
+    let connect = Mutex::new(connect);
+    let hook = |conn: usize| (*connect.lock().expect("connect hook poisoned"))(conn);
+    drive(
+        config,
+        coordinator,
+        conns,
+        values,
+        span,
+        specs,
+        policy,
+        hook,
+        hook,
+    )
+}
+
+/// The driver behind [`run_resharded`] and
+/// [`run_supervised`](crate::run_supervised). `respawn(conn)` replaces
+/// a failed worker on the calling thread (the collector's);
+/// `fresh(conn)` brings up a split's new worker on the dealer thread.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive<R, D>(
+    config: &QloveConfig,
+    coordinator: &mut Qlove,
+    conns: Vec<Conn>,
+    values: &[u64],
+    span: u64,
+    specs: &[ReshardSpec],
+    policy: &RecoveryPolicy,
+    respawn: R,
+    fresh: D,
+) -> io::Result<DistributedRun>
+where
+    R: FnMut(usize) -> io::Result<Conn>,
+    D: Fn(usize) -> io::Result<Conn> + Sync,
 {
     let shards = conns.len();
     assert!(shards > 0, "need at least one shard");
@@ -918,6 +972,9 @@ where
     let schedule = ReshardSchedule::build(shards, span, specs)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let plan = ConnPlan::build(&schedule, shards);
+    // Round-robin dealing replicates the in-process executor exactly;
+    // key ranges are needed only to split or merge them.
+    let round_robin = specs.is_empty();
 
     // Links for every connection the schedule will ever use; the ones
     // beyond the initial fleet stay dormant (no writer) until their
@@ -933,7 +990,7 @@ where
             } else {
                 Vec::new()
             };
-            ConnLink::new(base, policy.enabled())
+            ConnLink::new(base, plan.closing[conn].clone(), policy.enabled())
         })
         .collect();
 
@@ -957,10 +1014,11 @@ where
     }
 
     let registry = Registry::new();
-    let connect = Mutex::new(connect);
     // One journal per run: the dealer's reshard/pause records and the
     // collector's failure/recovery records interleave in causal order.
     let journal = EventJournal::new();
+    let slots = schedule.slot_count();
+    let metrics: Vec<ShardMetrics> = (0..slots).map(ShardMetrics::for_shard).collect();
     let mut collector = Collector {
         config,
         policy,
@@ -968,26 +1026,34 @@ where
         readers,
         breakers,
         registry: &registry,
-        connect: &connect,
+        respawn,
         restarts: vec![0; plan.conns()],
         journal: &journal,
+        metrics: &metrics,
+        worker_stats: vec![WorkerStats::default(); slots],
     };
 
-    let final_epoch = if boundaries == 0 {
-        0
-    } else {
-        schedule.epoch_at(boundaries as u64 - 1)
-    };
-
-    let (answers, stats) = thread::scope(|scope| -> io::Result<_> {
+    let (answers, stats, final_epoch) = thread::scope(|scope| -> io::Result<_> {
         let links_ref = &links;
         let schedule_ref = &schedule;
         let plan_ref = &plan;
         let registry_ref = &registry;
-        let connect_ref = &connect;
         let journal_ref = &journal;
-        let dealer = scope.spawn(move || -> io::Result<()> {
-            let mut bufs: Vec<Vec<u64>> = vec![Vec::new(); schedule_ref.slot_count()];
+        let metrics_ref = &metrics;
+        let fresh_ref = &fresh;
+        let dealer = scope.spawn(move || -> io::Result<u64> {
+            let mut bufs: Vec<Vec<u64>> = (0..slots)
+                .map(|_| Vec::with_capacity(BATCH.min(period)))
+                .collect();
+            let deal_batch = |slot: usize, bufs: &mut [Vec<u64>]| {
+                metrics_ref[slot].routed.add(bufs[slot].len() as u64);
+                let values =
+                    std::mem::replace(&mut bufs[slot], Vec::with_capacity(BATCH.min(period)));
+                links_ref[plan_ref.conn_of[slot]].deal(Frame::EventBatch {
+                    session: slot as u64,
+                    values,
+                })
+            };
             let mut open_conns: HashSet<usize> = (0..shards).collect();
             let mut current_epoch = 0u64;
             for (b, chunk) in values.chunks(period).enumerate() {
@@ -1003,7 +1069,7 @@ where
                         config,
                         policy,
                         registry_ref,
-                        connect_ref,
+                        fresh_ref,
                         &mut open_conns,
                     )?;
                     // No values were dealt inside the swap, so the
@@ -1030,22 +1096,21 @@ where
                     });
                 }
                 let table = schedule_ref.table(current_epoch);
-                for &v in chunk {
-                    let slot = table.route(v);
+                let start = b * period;
+                for (i, &v) in chunk.iter().enumerate() {
+                    let slot = if round_robin {
+                        (start + i) % shards
+                    } else {
+                        table.route(v)
+                    };
                     bufs[slot].push(v);
                     if bufs[slot].len() == BATCH {
-                        links_ref[plan_ref.conn_of[slot]].deal(Frame::EventBatch {
-                            session: slot as u64,
-                            values: std::mem::take(&mut bufs[slot]),
-                        })?;
+                        deal_batch(slot, &mut bufs)?;
                     }
                 }
                 for &(_, slot) in table.bounds() {
                     if !bufs[slot].is_empty() {
-                        links_ref[plan_ref.conn_of[slot]].deal(Frame::EventBatch {
-                            session: slot as u64,
-                            values: std::mem::take(&mut bufs[slot]),
-                        })?;
+                        deal_batch(slot, &mut bufs)?;
                     }
                     links_ref[plan_ref.conn_of[slot]].deal(Frame::Boundary {
                         session: slot as u64,
@@ -1053,12 +1118,20 @@ where
                     })?;
                 }
             }
+            // Scrape the live sessions' counters before shutdown; the
+            // requests ride the replay ring like any dealt frame.
+            let live = schedule_ref.table(current_epoch).bounds();
             let mut remaining: Vec<usize> = open_conns.into_iter().collect();
             remaining.sort_unstable();
             for conn in remaining {
+                for &(_, slot) in live.iter().filter(|&&(_, s)| plan_ref.conn_of[s] == conn) {
+                    links_ref[conn].deal(Frame::StatsRequest {
+                        session: slot as u64,
+                    })?;
+                }
                 links_ref[conn].deal(Frame::Shutdown)?;
             }
-            Ok(())
+            Ok(current_epoch)
         });
 
         // Collector + double-buffered merger: group membership and the
@@ -1099,12 +1172,7 @@ where
             // (fully-retired ones were drained at their swap).
             for conn in 0..plan.conns() {
                 let opened = plan.opened_at[conn] == 0 || plan.opened_at[conn] < boundaries as u64;
-                let retired = plan
-                    .retired_at
-                    .get(conn)
-                    .copied()
-                    .flatten()
-                    .is_some_and(|rb| rb < boundaries as u64);
+                let retired = plan.retired_at[conn].is_some_and(|rb| rb < boundaries as u64);
                 if opened && !retired {
                     collector.expect_shutdown_ack(conn)?;
                 }
@@ -1116,15 +1184,25 @@ where
         }
         let dealt = join_io(dealer, "dealer");
         let (answers, stats) = finished?;
-        dealt?;
-        Ok((answers, stats))
+        let final_epoch = dealt?;
+        Ok((answers, stats, final_epoch))
     })?;
-    let _ = final_epoch; // membership is derived per boundary above
-    Ok(ReshardRun {
+    let mut live: Vec<usize> = schedule
+        .table(final_epoch)
+        .bounds()
+        .iter()
+        .map(|&(_, slot)| slot)
+        .collect();
+    live.sort_unstable();
+    Ok(DistributedRun {
         answers,
         stats,
         failures: failures_view(&journal),
         events: reshard_events_view(&journal),
+        worker_stats: live
+            .into_iter()
+            .map(|slot| collector.worker_stats[slot])
+            .collect(),
         journal,
     })
 }
@@ -1134,7 +1212,7 @@ where
 mod tests {
     use super::*;
     use crate::worker::serve_stream;
-    use qlove_core::Backend;
+    use qlove_core::{Backend, QloveAnswer};
     use qlove_stream::parallel::ReshardPlan;
     use std::os::unix::net::UnixStream;
     use std::sync::Mutex as StdMutex;
@@ -1189,6 +1267,9 @@ mod tests {
         // Merge of slots 2 and 3: successor (slot 4) on slot 2's conn
         // (conn 0); slot 3's conn (conn 2) fully retired at boundary 5.
         assert_eq!(plan.retired_at, vec![None, None, Some(5)]);
+        // Slot 0 closes on conn 0 at the split; the merge closes slot 2
+        // there too, and slot 3 on conn 2.
+        assert_eq!(plan.closing, vec![vec![0, 2], vec![], vec![3]]);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! supervised mixed-mode run is rejected up front.
 
 use crate::coordinator::{
-    drive_restarts, failures_view, hello_handshake, is_timeout, join_io, FailureEvent, FailureKind,
-    RecoveryPolicy, WorkerStats, MAX_RING_BOUNDARIES,
+    drive_restarts, failures_view, hello_handshake, is_timeout, join_io, protocol, FailureEvent,
+    FailureKind, RecoveryPolicy, WorkerStats, MAX_RING_BOUNDARIES,
 };
 use crate::net::Conn;
 use crate::proto::{Frame, FrameReader, FrameWriter, WorkerMode};
@@ -84,10 +84,6 @@ pub struct SessionsRun {
     /// session closed, in `specs` order (all-zero when the worker died
     /// before answering a session's scrape).
     pub worker_stats: Vec<WorkerStats>,
-}
-
-fn protocol(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 /// Replay state for one session on the shared connection.
@@ -624,7 +620,7 @@ pub fn run_sessions(conn: Conn, specs: &[SessionSpec]) -> io::Result<Vec<Session
 /// Shard`]): operator sessions hold remote-only state that replay
 /// cannot rebuild, so supervising them is rejected with
 /// `InvalidInput` (run them unsupervised, or detect-only via
-/// [`crate::run_remote_operator_with_policy`]).
+/// [`crate::run_remote_operator`]).
 pub fn run_sessions_supervised<F>(
     conn: Conn,
     specs: &[SessionSpec],

@@ -41,6 +41,7 @@
 //! wrong role, version skew, malformed payloads) are `InvalidData`
 //! errors, never panics.
 
+use crate::coordinator::{is_timeout, protocol};
 use crate::net::{Conn, Endpoint, Listener};
 use crate::proto::{Frame, FrameReader, FrameWriter, Role, WorkerMode, PROTOCOL_VERSION};
 use qlove_core::{Qlove, QloveAnswer, QloveConfig, QloveShard};
@@ -110,17 +111,6 @@ impl ServeReport {
     pub fn events(&self) -> u64 {
         self.sessions.iter().map(|s| s.events).sum()
     }
-}
-
-fn protocol(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 /// The mode-specific half of a session's state.

@@ -270,7 +270,8 @@ fn remote_operator_answers_cross_process_bit_identically() {
         assert!(!want.is_empty());
         let worker = WorkerProc::spawn(&endpoint_specs(1, family, "remote")[0]);
         let answers =
-            run_remote_operator(&cfg, worker.connect(), &data).expect("remote operator run");
+            run_remote_operator(&cfg, worker.connect(), &data, &RecoveryPolicy::disabled())
+                .expect("remote operator run");
         assert_eq!(answers, want, "{family}");
         let outcome = worker.join();
         assert!(

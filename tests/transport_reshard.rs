@@ -29,8 +29,8 @@
 use qlove::core::{Backend, Qlove, QloveAnswer, QloveConfig, QloveShard};
 use qlove::stream::parallel::{ReshardPlan, ReshardSpec, BATCH};
 use qlove::transport::{
-    interpose, run_resharded, serve_stream, ChaosProxy, Conn, CutAfter, Endpoint, RecoveryPolicy,
-    ReshardRun, WorkerServer,
+    interpose, run_resharded, serve_stream, ChaosProxy, Conn, CutAfter, DistributedRun, Endpoint,
+    RecoveryPolicy, WorkerServer,
 };
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -152,7 +152,7 @@ fn assert_resharded_run(
     specs: &[ReshardSpec],
     family: &str,
     label: &str,
-) -> ReshardRun {
+) -> DistributedRun {
     let (want, single) = sequential(cfg, data);
     let handles = Mutex::new(Vec::new());
     let conns: Vec<Conn> = (0..shards)
@@ -330,7 +330,7 @@ fn chaos_reshard_run(
     cut_parent: Option<u64>,
     cut_fresh: Option<u64>,
     label: &str,
-) -> ReshardRun {
+) -> DistributedRun {
     let (want, single) = sequential(cfg, data);
     let handles = Mutex::new(Vec::new());
     let mut conns = Vec::new();
