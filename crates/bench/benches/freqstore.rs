@@ -1,15 +1,19 @@
-//! Backend ablation: the red-black `FreqTree` against the flat
-//! `DenseFreqStore` on the three operations that dominate QLOVE's hot
-//! paths — accumulate, multi-quantile evaluation, and multiset merge —
-//! at 1K/10K/100K unique quantized keys.
+//! Backend ablation: the operator's two Level-1 stores — the sorted-run
+//! `SortedRunStore` (`FreqStoreImpl::tree`, what `Backend::Tree` and
+//! unquantized `Backend::Auto` run) against the flat `DenseFreqStore` —
+//! on the three operations that dominate QLOVE's hot paths: accumulate,
+//! multi-quantile evaluation, and multiset merge, at 1K/10K/100K unique
+//! quantized keys.
 //!
 //! Keys are drawn from the 4-significant-digit quantized domain (the
 //! widest the Auto backend selection still maps to the dense store), so
 //! the 100K-unique case exercises a key universe spanning eleven
-//! decades. Expectation: dense wins accumulate outright (O(1) array
-//! arithmetic vs a descent), wins merge increasingly with unique count
-//! (slice-add vs one descent per key), and holds its own on quantiles
-//! (block-skipping prefix scan vs an in-order walk).
+//! decades. Accumulation on the sorted-run store is an append per
+//! element plus one sort in `seal`, which the insert group times and
+//! every filled store has paid; dense accumulation is O(1) array
+//! arithmetic. Dense merges are a slice-add and dense quantiles a
+//! block-skipping prefix scan, against a linear two-way run merge and
+//! binary searches over the sorted runs' cumulative counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qlove_freqstore::{FreqStore, FreqStoreImpl};
@@ -55,6 +59,7 @@ fn filled(proto: &FreqStoreImpl, data: &[u64]) -> FreqStoreImpl {
     for &v in data {
         s.insert(v, 1);
     }
+    s.seal();
     s
 }
 
@@ -71,6 +76,7 @@ fn bench_insert(c: &mut Criterion) {
                     for &v in d {
                         s.insert(v, 1);
                     }
+                    s.seal();
                     s.total()
                 });
             });

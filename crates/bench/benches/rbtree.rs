@@ -1,10 +1,19 @@
-//! Ablation: the arena frequency red-black tree against
-//! `BTreeMap<u64, u64>` for Level-1 accumulation and quantile queries.
-//! DESIGN.md calls this decision out; the tree must win (or at least
-//! tie) on the accumulate-heavy telemetry pattern to justify itself —
-//! and only the tree gives O(log u) rank selection.
+//! Ablation of ordered frequency multisets: the arena red-black
+//! `FreqTree`, `BTreeMap<u64, u64>`, and (for accumulation) the
+//! sorted-run `SortedRunStore`.
+//!
+//! The operator's unquantized Level-1 state is the sorted-run store: a
+//! tumbling sub-window is filled, queried once and discarded, so it
+//! appends every insert and sorts once in `seal`, where the tree pays a
+//! descent per insert to stay ordered. `level1_accumulate` measures
+//! that pattern, seal included. The tree remains the structure of the
+//! sliding-window users (the Exact baseline, the sliding executors),
+//! which remove an element on every push — `sliding_deaccumulate`
+//! measures that loop — and `compute_result` compares its rank
+//! selection with a `BTreeMap` scan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use qlove_freqstore::{FreqStore, SortedRunStore};
 use qlove_rbtree::FreqTree;
 use qlove_workloads::{transform::quantize_sig_digits, NetMonGen};
 use std::collections::BTreeMap;
@@ -27,6 +36,16 @@ fn bench_accumulate(c: &mut Criterion) {
                 t.insert(v, 1);
             }
             t.total()
+        });
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("sorted_runs"), &data, |b, d| {
+        b.iter(|| {
+            let mut s = SortedRunStore::new();
+            for &v in d {
+                s.insert(v, 1);
+            }
+            s.seal();
+            s.unique_len()
         });
     });
     group.bench_with_input(BenchmarkId::from_parameter("btreemap"), &data, |b, d| {

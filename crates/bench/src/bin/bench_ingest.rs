@@ -9,8 +9,9 @@
 //! Measures single-thread elements/second for `push` and for
 //! `push_batch` at batch sizes 64/1024/4096 over the quantized Normal
 //! and Pareto streams (paper-default QLOVE configuration, 100K/10K
-//! window), for **both** backends — the red-black tree and the flat
-//! dense store the quantized domain enables. Records two headline
+//! window), for **both** backends — the sorted-run store (`tree`
+//! rows, named for `Backend::Tree`) and the flat dense store the
+//! quantized domain enables. Records two headline
 //! ratios on the Normal stream: `push_batch(4096) / push` within the
 //! dense backend, and dense over tree at `push_batch(4096)` (the
 //! backend win the freqstore refactor is accountable for).

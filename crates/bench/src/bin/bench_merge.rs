@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Measures, over the quantized Normal stream with the paper-default
-//! QLOVE configuration (100K/10K window), for **both** backends (tree
-//! and dense):
+//! QLOVE configuration (100K/10K window), for **both** backends (the
+//! sorted-run store in the `tree` rows, named for `Backend::Tree`, and
+//! the dense store):
 //!
 //! * single-instance batched ingestion throughput (the baseline the
 //!   distributed executor must amortize against);
@@ -29,13 +30,10 @@
 //!   severalfold — see README "Performance");
 //! * the isolated **fold** cost per summary — a fresh Level-1 store
 //!   per boundary folding each shard summary in, which is the
-//!   primitive the backend actually changes (one tree descent per
-//!   unique key vs one array add per pair). Measured on the Normal
-//!   stream *and* the Pareto stream: quantized Normal summaries hold
-//!   ~150 unique pairs (a small, cache-resident tree — its best
-//!   case), while Pareto's heavy tail spreads across decades and
-//!   makes tree descents pay, which is where the slice-fold win
-//!   compounds;
+//!   primitive the backend actually changes (a copy or linear run
+//!   merge vs one array add per pair). Measured on the Normal stream
+//!   *and* the Pareto stream: quantized Normal summaries hold ~150
+//!   unique pairs, while Pareto's heavy tail spreads across decades;
 //! * summary codec compactness (bytes per shipped summary vs the raw
 //!   16-bytes-per-pair encoding; backend-neutral, measured once);
 //! * the **transport dimension** (`--transport {inproc,uds,tcp}`,
@@ -63,9 +61,9 @@
 //!   speedup; single-session socket throughput stays gated via the
 //!   `transport` rows).
 //!
-//! Headline ratios: fold cost per summary, tree over dense (the win of
-//! folding sorted pairs into a flat array instead of one tree descent
-//! per unique key), and dense-backend distributed throughput at 4
+//! Headline ratios: fold cost per summary, tree over dense (folding
+//! sorted pairs into a flat array against merging them into sorted
+//! runs), and dense-backend distributed throughput at 4
 //! shards over both its own sequential run and the tree sequential
 //! baseline. The artifact records `host_cpus`: on a single-CPU host
 //! distributed execution serializes onto one core and can at best tie

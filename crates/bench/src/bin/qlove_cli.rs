@@ -32,7 +32,7 @@
 //! the run.
 //!
 //! `--backend {tree,dense,auto}` (QLOVE only) pins the Level-1
-//! frequency-store backend: the red-black tree, the flat direct-indexed
+//! frequency-store backend: the sorted-run store, the flat direct-indexed
 //! dense store (requires quantization, which the CLI's default config
 //! has on), or automatic selection (default — dense under the paper's
 //! 3-digit quantization). Answers are bit-identical either way; only

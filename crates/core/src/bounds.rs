@@ -15,10 +15,10 @@
 //!
 //! Distributed note: the `n·m` accounting (n sub-windows of m elements)
 //! survives distributed execution unchanged — a sub-window assembled by
-//! merging shard summaries (`FreqTree::merge_from` under
+//! merging shard summaries (`FreqStoreImpl::merge_sorted_counts` under
 //! `Qlove::merge`) holds exactly the same `m = period` elements as the
 //! single-instance sub-window, and the density is estimated from the
-//! merged tree, so the reported bound is the per-instance bound.
+//! merged store, so the reported bound is the per-instance bound.
 
 use qlove_freqstore::FreqStore;
 use qlove_stats::error_bound::{clt_error_bound, CltBound};
@@ -26,10 +26,11 @@ use qlove_stats::error_bound::{clt_error_bound, CltBound};
 /// Density estimate `f(p_φ)` from a frequency store via symmetric
 /// finite differences with half-width `h = min(0.05, φ/2, (1−φ)/2)`.
 ///
-/// Generic over the Level-1 backend ([`FreqStore`]): both the red-black
-/// tree and the dense direct-indexed store answer the two flanking
-/// quantiles under the same rank convention, so the estimate — and the
-/// bound built on it — is backend-independent bit for bit.
+/// Generic over the Level-1 backend ([`FreqStore`]): the sorted-run
+/// store, the dense direct-indexed store and the red-black tree all
+/// answer the two flanking quantiles under the same rank convention,
+/// so the estimate — and the bound built on it — is backend-independent
+/// bit for bit.
 ///
 /// Returns `None` when the store is empty, the quantile is degenerate,
 /// or the two flanking quantiles coincide (point mass → the CLT bound

@@ -90,9 +90,13 @@ impl FewKConfig {
 /// stores implement it with identical semantics (answers are
 /// bit-identical either way — locked by `tests/proptest_backend.rs`):
 ///
-/// * **Tree** — the arena red-black tree (`qlove_rbtree::FreqTree`):
-///   `O(log u)` operations, memory proportional to unique keys, works
-///   for any key domain. The right choice when quantization is off.
+/// * **Tree** — the sorted-run store
+///   (`qlove_freqstore::SortedRunStore`): inserts append to a log that
+///   is sorted into `(key, cumulative count)` runs once per sub-window,
+///   boundary queries are binary searches, memory is proportional to
+///   the elements of one sub-window, and any key domain works. The
+///   right choice when quantization is off. (The variant keeps its name
+///   and wire code from when a red-black tree backed it.)
 /// * **Dense** — the flat direct-indexed array
 ///   (`qlove_freqstore::DenseFreqStore`): `O(1)` inserts, prefix-scan
 ///   quantiles, slice-add merges, but memory proportional to the
@@ -105,7 +109,7 @@ pub enum Backend {
     /// paper's 3-digit default qualifies), tree otherwise.
     #[default]
     Auto,
-    /// Always the red-black tree.
+    /// Always the sorted-run store.
     Tree,
     /// Always the flat dense store; requires quantization (validation
     /// rejects the combination with `sig_digits: None`).

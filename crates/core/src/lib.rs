@@ -14,11 +14,13 @@
 //!   significant digits, and computes its *exact* quantiles in one
 //!   sorted pass at the sub-window boundary (Algorithm 1). The multiset
 //!   is stored in a pluggable backend ([`config::Backend`]): the
-//!   red-black [`qlove_rbtree::FreqTree`] for unbounded domains, or the
-//!   flat direct-indexed [`qlove_freqstore::DenseFreqStore`] when
-//!   quantization bounds the domain (the default under the paper's
-//!   3-digit setting — O(1) inserts, prefix-scan quantiles, slice-add
-//!   merges). Answers are bit-identical across backends.
+//!   sorted-run [`qlove_freqstore::SortedRunStore`] for unbounded
+//!   domains (append inserts, one sort per sub-window, binary-search
+//!   quantiles, linear merges), or the flat direct-indexed
+//!   [`qlove_freqstore::DenseFreqStore`] when quantization bounds the
+//!   domain (the default under the paper's 3-digit setting — O(1)
+//!   inserts, prefix-scan quantiles, slice-add merges). Answers are
+//!   bit-identical across backends.
 //! * **Level 2** — the window answer for each quantile is the *mean* of
 //!   the sub-window quantiles (justified by the CLT, Theorem 1), kept
 //!   incrementally as `l` running `{sum, count}` pairs with O(1)

@@ -14,11 +14,10 @@ use std::collections::VecDeque;
 
 /// Build the Level-1 store [`QloveConfig::resolved_backend`] asks for.
 ///
-/// Tree arenas are pre-sized for the sub-window (a sub-window holds at
-/// most `period` unique values — far fewer once quantization collapses
-/// the domain), capped so huge-period configs do not front-load memory.
-/// The dense store sizes itself from the quantized domain and grows
-/// lazily toward its fixed bound.
+/// Sorted-run stores are pre-sized for the sub-window (a sub-window
+/// holds at most `period` unique values), capped so huge-period configs
+/// do not front-load memory. The dense store sizes itself from the
+/// quantized domain and grows lazily toward its fixed bound.
 fn make_store(config: &QloveConfig) -> FreqStoreImpl {
     match config.resolved_backend() {
         Backend::Dense => FreqStoreImpl::dense(
@@ -33,9 +32,10 @@ fn make_store(config: &QloveConfig) -> FreqStoreImpl {
 /// Quantize and bulk-insert one sub-window chunk into a store — the
 /// shared batched-ingestion path of [`Qlove`] and [`QloveShard`].
 ///
-/// The tree path quantizes into `scratch` and rides
-/// `FreqTree::insert_batch` (sort + one descent per unique key). The
-/// dense path feeds the raw chunk straight in: direct indexing
+/// The sorted-run path quantizes into `scratch` and rides
+/// `SortedRunStore::insert_batch` (a chunk opening a sub-window is
+/// sorted straight into runs; later chunks append to the pending log).
+/// The dense path feeds the raw chunk straight in: direct indexing
 /// quantizes as a side effect of encoding, so the quantize copy *and*
 /// the sort disappear.
 fn ingest_chunk_into(
@@ -46,13 +46,13 @@ fn ingest_chunk_into(
 ) {
     match store {
         FreqStoreImpl::Dense(dense) => dense.insert_slice(chunk),
-        FreqStoreImpl::Tree(tree) => {
+        FreqStoreImpl::Tree(runs) => {
             scratch.clear();
             match sig_digits {
                 Some(d) => scratch.extend(chunk.iter().map(|&v| quantize_sig_digits(v, d))),
                 None => scratch.extend_from_slice(chunk),
             }
-            tree.insert_batch(scratch);
+            runs.insert_batch(scratch);
         }
     }
 }
@@ -351,12 +351,14 @@ impl QloveShard {
     /// [`QloveShard::take_summary`]), mirroring the contract of
     /// [`Qlove::merge`].
     pub fn restore(&mut self, checkpoint: &QloveSummary) {
+        self.store.seal();
         self.store.merge_sorted_counts(checkpoint.counts());
     }
 
     /// Snapshot the accumulated state as a mergeable summary and reset
     /// (allocations are kept, so steady-state boundaries reuse them).
     pub fn take_summary(&mut self) -> QloveSummary {
+        self.store.seal();
         let mut counts = Vec::with_capacity(self.store.unique_len());
         self.store.counts_into(&mut counts);
         let summary = QloveSummary {
@@ -381,7 +383,7 @@ pub struct Qlove {
     max_tail: usize,
     // ---- Level 1 state ----
     /// The in-flight sub-window multiset, in the backend the
-    /// configuration selected (tree for unbounded domains, dense
+    /// configuration selected (sorted runs for unbounded domains, dense
     /// direct-indexed array for quantized ones).
     store: FreqStoreImpl,
     filled: usize,
@@ -512,10 +514,11 @@ impl Qlove {
     ///   cannot affect quantiles, tail snapshots, or anything else read
     ///   at the boundary.
     ///
-    /// The speedup comes from quantizing the chunk in one pass, sorting
-    /// it, and bulk-inserting `(key, run-length)` pairs — one tree
-    /// descent per *unique* quantized key instead of one per element
-    /// ([`FreqTree::insert_batch`]).
+    /// The speedup comes from quantizing the chunk in one pass and
+    /// handing it to the store whole: the dense store indexes it
+    /// directly, and the sorted-run store sorts a sub-window's opening
+    /// chunk straight into runs and logs the rest for one sort at the
+    /// boundary.
     pub fn push_batch(&mut self, values: &[u64]) -> Vec<QloveAnswer> {
         let mut out = Vec::new();
         self.push_batch_into(values, &mut out);
@@ -558,8 +561,12 @@ impl Qlove {
     /// Allocation-free in steady state: the summary expired from the
     /// ring is recycled for the next boundary, the tail snapshot and
     /// burst pool live in scratch buffers, and the store keeps its
-    /// allocations across [`FreqStore::clear`].
+    /// allocations across [`FreqStoreImpl::seal`] and
+    /// [`FreqStore::clear`].
     fn complete_subwindow(&mut self) {
+        // One sort of the sub-window's pending inserts puts every query
+        // below on its fast path.
+        self.store.seal();
         let phis = &self.config.phis;
         let l = phis.len();
         let mut summary = self
@@ -757,6 +764,7 @@ impl Qlove {
     /// reset it** — the shard side of a sub-window exchange, or a
     /// checkpoint extraction. Store allocations are kept for reuse.
     pub fn take_summary(&mut self) -> QloveSummary {
+        self.store.seal();
         let summary = self.summary();
         self.store.clear();
         self.filled = 0;
@@ -773,8 +781,8 @@ impl Qlove {
     /// [`Qlove::push_detailed`] at a boundary. Because Level-1 state is
     /// a multiset, merging K shard summaries covering one sub-window
     /// produces answers **bit-identical** to a single instance
-    /// ingesting the interleaved stream: the merged tree is the same
-    /// tree, so the Level-2 quantile sums, the few-k tail caches and
+    /// ingesting the interleaved stream: the merged multiset is the same
+    /// multiset, so the Level-2 quantile sums, the few-k tail caches and
     /// merge views, the burst flags, and the Theorem-1 bound accounting
     /// (a merged sub-window holds exactly `period` elements, the `m` the
     /// bound formula assumes) all coincide.

@@ -46,22 +46,21 @@ const POW10: [u64; 20] = {
 /// accepts unquantized input and quantizes it on entry (idempotent for
 /// already-quantized keys, which is what the QLOVE operator feeds it).
 ///
-/// # Costs versus the tree
+/// # Costs versus the sorted-run store
 ///
 /// * `insert`: one `ilog10`, one table-indexed division, three array
-///   `+=` — O(1), no descent, no rebalancing, no per-key allocation.
+///   `+=` — O(1), no log to sort at the boundary, no per-key
+///   allocation.
 /// * rank queries: prefix scans over the counts, accelerated by
 ///   per-[`BLOCK`] sums maintained incrementally on every mutation
 ///   (empty blocks are skipped without touching their counts).
 /// * `merge_from`: a vectorized slice-add of the whole count array —
-///   the distributed merge primitive that replaces one tree descent
-///   per unique key.
+///   the distributed merge primitive, in place of a run merge.
 /// * `memory_bytes`: **independent of occupancy** — the array grows to
 ///   the highest encoded index seen (never beyond the fixed domain
-///   bound) and stays there. For `d = 3` that is ≤ 130 KB; a tree
-///   holding the same sub-window is smaller at very low unique counts
-///   but pays pointer-chasing on every operation. See the README's
-///   backend-selection notes.
+///   bound) and stays there. For `d = 3` that is ≤ 130 KB; a sorted-run
+///   store holding the same sub-window is smaller at low unique counts.
+///   See the README's backend-selection notes.
 #[derive(Debug, Clone)]
 pub struct DenseFreqStore {
     sig_digits: u32,
@@ -85,7 +84,7 @@ pub struct DenseFreqStore {
 impl DenseFreqStore {
     /// Widest supported quantization: beyond 6 significant digits the
     /// index domain (≈ `13·10^d` slots) stops being "small" and the
-    /// tree backend is the right tool. `QloveConfig::validate` rejects
+    /// sorted-run backend is the right tool. `QloveConfig::validate` rejects
     /// dense configurations above this, so misconfiguration fails at
     /// validation with a clear message rather than in the constructor.
     pub const MAX_SIG_DIGITS: u32 = 6;
@@ -165,8 +164,8 @@ impl DenseFreqStore {
     }
 
     /// Add one occurrence of every element of `values` — the batched
-    /// ingestion primitive. Unlike the tree's `insert_batch`, no sort
-    /// and no scratch copy are needed: direct indexing makes each
+    /// ingestion primitive. Unlike the sorted-run `insert_batch`, no
+    /// sort and no scratch copy are needed: direct indexing makes each
     /// element O(1), and encoding quantizes raw input on the fly.
     pub fn insert_slice(&mut self, values: &[u64]) {
         for &v in values {

@@ -3,22 +3,27 @@
 //! QLOVE's Level-1 state is a frequency multiset of `u64` telemetry
 //! values: accumulate `{value → count}`, answer order statistics at the
 //! sub-window boundary, union with other multisets under distributed
-//! merge. The seed implementation is the arena red-black tree
-//! ([`qlove_rbtree::FreqTree`]) — the right structure for *unbounded*
-//! key domains. But the paper's 3-significant-digit quantization (§3.1)
-//! collapses the domain to a small bounded set of `d.dd × 10^e` values,
-//! and for that shape a tree descent per operation is pure overhead.
+//! merge. The multiset is *tumbling* (§3.1): filled for one sub-window,
+//! queried once at the boundary, then discarded. Nothing reads its order
+//! before the boundary, so keeping it ordered on every insert is wasted
+//! work.
 //!
 //! This crate abstracts the multiset contract as the [`FreqStore`]
-//! trait and adds a second implementation exploiting the quantized
-//! shape:
+//! trait and implements it twice for the operator:
 //!
+//! * [`SortedRunStore`] — strictly ascending `(key, cumulative count)`
+//!   runs plus an unsorted log of pending inserts, for *unbounded* key
+//!   domains (quantization off). Inserts append; the log is sorted once
+//!   per sub-window ([`SortedRunStore::seal`]); boundary queries are
+//!   binary searches over the cumulative counts; merging a shipped
+//!   summary is one copy or one linear two-way merge.
 //! * [`DenseFreqStore`] — a flat `Vec<u64>` of frequencies directly
 //!   indexed by a reversible `(significand, exponent)` encoding of
-//!   quantized keys, with incrementally maintained per-block sums.
-//!   Insert is O(1) array arithmetic, quantile evaluation is a prefix
-//!   scan that skips empty blocks, and multiset union is a vectorized
-//!   slice-add instead of one tree descent per unique key.
+//!   quantized keys, with incrementally maintained per-block sums. The
+//!   paper's 3-significant-digit quantization collapses the domain to a
+//!   small bounded set, so insert is O(1) array arithmetic, quantile
+//!   evaluation is a prefix scan that skips empty blocks, and multiset
+//!   union is a vectorized slice-add.
 //! * [`FreqStoreImpl`] — runtime dispatch between the two, so the
 //!   operator can pick a backend from its configuration without
 //!   becoming generic (it is boxed as a `dyn QuantilePolicy` by the
@@ -27,19 +32,32 @@
 //! Both backends implement the identical multiset semantics — same rank
 //! convention, same iteration order, same `remove` errors — so swapping
 //! backends changes throughput and memory, never answers. That bit-for-
-//! bit equivalence is what `tests/proptest_backend.rs` locks down.
+//! bit equivalence is what `tests/proptest_backend.rs` locks down; the
+//! sorted-run store is checked against [`FreqTree`] as an independent
+//! oracle in this crate's own property tests.
+//!
+//! The red-black [`FreqTree`] (re-exported from `qlove-rbtree`) also
+//! implements the trait. It now serves only the sliding-window users
+//! (the `Exact` baseline and the sliding executors), which need a cheap
+//! `remove` on every element.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dense;
+pub mod sorted;
 
 pub use dense::DenseFreqStore;
 pub use qlove_rbtree::{FreqTree, RemoveError};
+pub use sorted::SortedRunStore;
+
+#[cfg(test)]
+mod proptests;
 
 /// The Level-1 frequency-multiset contract: everything QLOVE (and the
 /// Exact baseline) needs from sub-window state, as implemented by both
-/// the red-black [`FreqTree`] and the flat [`DenseFreqStore`].
+/// the [`SortedRunStore`], the flat [`DenseFreqStore`] and the
+/// red-black [`FreqTree`].
 ///
 /// Semantics are multiset semantics throughout: `insert` adds `freq`
 /// occurrences, iteration yields `(key, frequency)` pairs in strictly
@@ -59,8 +77,9 @@ pub trait FreqStore {
 
     /// Bulk-insert one occurrence of every element of `batch`. The
     /// slice is mutable because implementations may sort it in place
-    /// (the tree collapses it to runs; the dense store does not need
-    /// to). Equivalent to `for &k in batch { insert(k, 1) }`.
+    /// (the sorted-run store and the tree collapse it to runs; the
+    /// dense store does not need to). Equivalent to
+    /// `for &k in batch { insert(k, 1) }`.
     fn insert_batch(&mut self, batch: &mut [u64]);
 
     /// Remove `freq` occurrences of `key` (exact-match on the stored
@@ -204,7 +223,7 @@ impl FreqStore for FreqTree<u64> {
 }
 
 /// Runtime backend dispatch: one Level-1 store that is either a
-/// red-black [`FreqTree`] (unbounded domains) or a [`DenseFreqStore`]
+/// [`SortedRunStore`] (unbounded domains) or a [`DenseFreqStore`]
 /// (quantized domains), selected when the operator is constructed.
 ///
 /// Every [`FreqStore`] method matches once and delegates; the match is
@@ -212,17 +231,19 @@ impl FreqStore for FreqTree<u64> {
 /// ([`FreqStoreImpl::merge_from`], [`DenseFreqStore::insert_slice`]).
 #[derive(Debug, Clone)]
 pub enum FreqStoreImpl {
-    /// Arena red-black tree — `O(log u)` operations, unbounded domain.
-    Tree(FreqTree<u64>),
+    /// Sorted runs plus a pending log — append inserts, one sort per
+    /// sub-window, unbounded domain. The variant keeps the name of the
+    /// configuration that selects it (`qlove_core::Backend::Tree`).
+    Tree(SortedRunStore),
     /// Flat direct-indexed array — `O(1)` insert, bounded quantized
     /// domain.
     Dense(DenseFreqStore),
 }
 
 impl FreqStoreImpl {
-    /// Tree backend with arena capacity for `unique_capacity` keys.
+    /// Sorted-run backend with room for `unique_capacity` runs.
     pub fn tree(unique_capacity: usize) -> Self {
-        FreqStoreImpl::Tree(FreqTree::with_capacity(unique_capacity))
+        FreqStoreImpl::Tree(SortedRunStore::with_capacity(unique_capacity))
     }
 
     /// Dense backend for keys quantized to `sig_digits` significant
@@ -231,12 +252,24 @@ impl FreqStoreImpl {
         FreqStoreImpl::Dense(DenseFreqStore::new(sig_digits))
     }
 
+    /// Bring the store into its query-ready form: the sorted-run store
+    /// sorts its pending log into the runs ([`SortedRunStore::seal`]);
+    /// the dense store is always ready. Queries are exact either way —
+    /// sealing only moves them onto their fast paths — so the operator
+    /// calls this once per sub-window, before the boundary queries.
+    pub fn seal(&mut self) {
+        if let FreqStoreImpl::Tree(s) = self {
+            s.seal();
+        }
+    }
+
     /// Multiset union: fold every `(key, frequency)` pair of `other`
     /// into this store — the distributed sub-window merge primitive.
     ///
-    /// Same-backend unions take the native path (one descent per unique
-    /// key for trees, a vectorized slice-add for dense stores); mixed
-    /// backends fall back to per-pair inserts, which is still exact.
+    /// Same-backend unions take the native path (a linear run merge for
+    /// sorted-run stores, a vectorized slice-add for dense stores);
+    /// mixed backends fall back to per-pair inserts, which is still
+    /// exact.
     pub fn merge_from(&mut self, other: &FreqStoreImpl) {
         match (self, other) {
             (FreqStoreImpl::Tree(a), FreqStoreImpl::Tree(b)) => a.merge_from(b),
@@ -247,13 +280,13 @@ impl FreqStoreImpl {
 
     /// Fold strictly-ascending `(key, frequency)` pairs — the shape a
     /// shipped sub-window summary arrives in — through the backend's
-    /// best bulk path: [`DenseFreqStore::extend_sorted_counts`] for the
-    /// dense store (no per-pair growth check, no hardware divide),
-    /// plain [`FreqStore::extend_counts`] descents for the tree (which
-    /// gains nothing from sortedness beyond cache locality).
+    /// bulk path: [`SortedRunStore::merge_sorted_counts`] (one copy
+    /// into an empty store, a linear two-way merge into a non-empty
+    /// one) or [`DenseFreqStore::extend_sorted_counts`] (no per-pair
+    /// growth check, no hardware divide).
     pub fn merge_sorted_counts(&mut self, pairs: &[(u64, u64)]) {
         match self {
-            FreqStoreImpl::Tree(t) => t.extend_counts(pairs.iter().copied()),
+            FreqStoreImpl::Tree(s) => s.merge_sorted_counts(pairs),
             FreqStoreImpl::Dense(d) => d.extend_sorted_counts(pairs),
         }
     }

@@ -21,12 +21,12 @@
 //!   toward boundary *b+1*.
 //!
 //! Both executors are agnostic to how an operator stores its state:
-//! QLOVE's Level-1 backend (red-black tree, or the dense direct-indexed
+//! QLOVE's Level-1 backend (sorted runs, or the dense direct-indexed
 //! store `qlove_freqstore` enables for quantized domains) rides along
 //! inside the operator the `make_op`/`make_shard` closures construct,
 //! so the same executor serves either backend — only the cost of
-//! [`SummaryMerge::merge_summary`] changes (per-key tree descents vs
-//! array adds). Summaries themselves are backend-neutral sorted
+//! [`SummaryMerge::merge_summary`] changes (linear run merges vs array
+//! adds). Summaries themselves are backend-neutral sorted
 //! `(value, frequency)` multisets, so shards and the coordinator may
 //! even run different backends.
 

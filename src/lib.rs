@@ -15,10 +15,12 @@
 //! * [`stats`] — statistical substrate (normal distribution, Mann-Whitney
 //!   U, KDE, Theorem-1 error bound, histograms).
 //! * [`freqstore`] — pluggable Level-1 frequency-store backends: the
-//!   `FreqStore` trait, the flat `DenseFreqStore` for quantized
-//!   domains, and runtime backend dispatch.
-//! * [`rbtree`] — the order-statistic frequency red-black tree backing
-//!   Level-1 state and the Exact baseline.
+//!   `FreqStore` trait, the sorted-run `SortedRunStore` for unbounded
+//!   domains, the flat `DenseFreqStore` for quantized domains, and
+//!   runtime backend dispatch.
+//! * [`rbtree`] — the order-statistic frequency red-black tree behind
+//!   the sliding-window users (the Exact baseline and the sliding
+//!   executors), which remove an element on every push.
 //! * [`telemetry`] — the observability plane: lock-free metrics
 //!   registry (counters/gauges/log-bucketed histograms), the bounded
 //!   structured event journal, and the shared monotonic clock.
