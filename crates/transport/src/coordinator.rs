@@ -6,10 +6,10 @@
 //!
 //! This module holds the entry points and the pieces every transport
 //! path shares (recovery policy, failure records, handshake, restart
-//! loop, per-shard metrics). The one-window driver itself — dealer,
-//! collector, and per-connection link — lives in [`crate::reshard`]:
-//! [`run_over_sockets`] and [`run_supervised`] are resharded runs with
-//! an empty schedule.
+//! loop, per-shard metrics). The one-window driver itself — dealer and
+//! collector — lives in [`crate::reshard`], on the connection link
+//! (`link.rs`) it shares with [`crate::sessions`]: [`run_over_sockets`]
+//! and [`run_supervised`] are resharded runs with an empty schedule.
 //!
 //! Three threads cooperate, connected only by sockets and the pipeline
 //! channel, with no stage ever waiting on a stage downstream of it:
@@ -34,7 +34,7 @@
 //! # Fault tolerance
 //!
 //! [`run_supervised`] adds exact-replay worker recovery on top of the
-//! same pipeline. Every frame dealt to a connection is retained in a
+//! same pipeline. Every frame dealt to a session is retained in its
 //! bounded **replay ring** ([`MAX_RING_BOUNDARIES`] sub-windows deep)
 //! and pruned as soon as the collector merges the matching
 //! `BoundarySummary` — the acknowledgement that the worker's effect on
@@ -58,23 +58,24 @@
 use crate::net::Conn;
 use crate::proto::{Frame, FrameReader, FrameWriter, Role, WorkerMode, PROTOCOL_VERSION};
 use crate::reshard::ReshardEvent;
+use crate::sessions::{no_respawn, run_sessions_supervised, SessionSpec};
 use qlove_core::{Qlove, QloveAnswer, QloveConfig};
-use qlove_stream::parallel::BATCH;
 use qlove_stream::PipelineStats;
 use qlove_telemetry::metrics::labeled;
 use qlove_telemetry::{Counter, EventJournal, EventKind, Gauge, Stopwatch};
 use std::fmt;
 use std::io::{self, BufReader};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 /// How many dealt-but-unacknowledged sub-windows the replay ring holds
-/// per shard before the dealer waits for the collector to catch up.
+/// per session (one session per shard in a window run) before the
+/// dealer waits for the collector to catch up.
 ///
 /// This bounds both recovery replay volume and coordinator memory: at
 /// most this many boundaries' worth of `EventBatch` frames are retained
-/// per shard at any moment.
+/// per session at any moment.
 pub const MAX_RING_BOUNDARIES: usize = 8;
 
 /// When and how hard the coordinator fights to keep a run alive.
@@ -544,9 +545,10 @@ where
 ///
 /// Answers come back as [`Frame::Answer`] frames and are returned in
 /// evaluation order; they are bit-identical to running the operator
-/// locally (locked by the transport differential test). The write side
-/// runs on its own thread so a slow operator can never deadlock the
-/// answer stream against the event stream.
+/// locally (locked by the transport differential test). The run is a
+/// one-session [`crate::run_sessions`] in operator mode, so the write
+/// side runs on its own thread and a slow operator can never deadlock
+/// the answer stream against the event stream.
 ///
 /// `policy` adds hang *detection*, not recovery. A remote operator
 /// holds the full window state, which the ingest side deliberately does
@@ -563,83 +565,21 @@ pub fn run_remote_operator(
     values: &[u64],
     policy: &RecoveryPolicy,
 ) -> io::Result<Vec<QloveAnswer>> {
+    // The socket deadlines are the policy's own; the session driver
+    // then sees a policy that never restarts, so it retains nothing
+    // and accepts the operator session.
     policy.arm(&conn)?;
-    let breaker = conn.try_clone()?;
-    // The remote operator is the connection's only session: id 0.
-    const SESSION: u64 = 0;
-    let (mut reader, mut writer) = hello_handshake(conn)?;
-    writer.write_frame(&Frame::OpenSession {
-        session: SESSION,
+    let detect_only = RecoveryPolicy {
+        max_restarts: 0,
+        ..*policy
+    };
+    let spec = SessionSpec {
         config: config.clone(),
         mode: WorkerMode::Operator,
-    })?;
-    writer.flush()?;
-    // The feeder and the collector's heartbeat probes share the write
-    // half; the mutex is uncontended except while a probe is in flight.
-    let writer = Mutex::new(writer);
-    thread::scope(|scope| -> io::Result<Vec<QloveAnswer>> {
-        let feeder = scope.spawn(|| -> io::Result<()> {
-            for chunk in values.chunks(BATCH) {
-                let mut writer = writer.lock().expect("writer lock poisoned");
-                writer.write_frame(&Frame::EventBatch {
-                    session: SESSION,
-                    values: chunk.to_vec(),
-                })?;
-            }
-            let mut writer = writer.lock().expect("writer lock poisoned");
-            writer.write_frame(&Frame::Shutdown)?;
-            writer.flush()?;
-            Ok(())
-        });
-        let mut answers = Vec::new();
-        let mut probed = false;
-        let collected = loop {
-            match reader.read_frame() {
-                Ok(Frame::Answer {
-                    session: SESSION,
-                    boundary,
-                    answer,
-                }) => {
-                    probed = false;
-                    if boundary != answers.len() as u64 {
-                        break Err(protocol(format!(
-                            "answer {boundary} out of order (expected {})",
-                            answers.len()
-                        )));
-                    }
-                    answers.push(answer);
-                }
-                Ok(Frame::Heartbeat { .. }) => probed = false,
-                Ok(Frame::Shutdown) => break Ok(()),
-                Ok(other) => break Err(protocol(format!("unexpected frame {other:?}"))),
-                Err(e) if is_timeout(&e) && !probed => {
-                    let mut writer = writer.lock().expect("writer lock poisoned");
-                    let sent = writer
-                        .write_frame(&Frame::Heartbeat { session: SESSION })
-                        .and_then(|()| writer.flush());
-                    drop(writer);
-                    if let Err(probe_err) = sent {
-                        break Err(probe_err);
-                    }
-                    probed = true;
-                }
-                Err(e) if is_timeout(&e) => {
-                    break Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "remote operator stalled: no answer or heartbeat echo through two read deadlines",
-                    ));
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        if collected.is_err() {
-            let _ = breaker.shutdown();
-        }
-        let fed = join_io(feeder, "feeder");
-        collected?;
-        fed?;
-        Ok(answers)
-    })
+        values: values.to_vec(),
+    };
+    let mut run = run_sessions_supervised(conn, &[spec], &detect_only, no_respawn)?;
+    Ok(run.outcomes.remove(0).answers)
 }
 
 #[cfg(test)]

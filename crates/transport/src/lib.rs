@@ -3,8 +3,8 @@
 //! Runs QLOVE windows across **worker processes** connected by TCP or
 //! Unix-domain sockets, answering bit-identically to single-instance
 //! runs — the "multi-process shards exchanging QLVS frames over
-//! sockets" extension the merge design record called for. Six layers,
-//! each usable on its own:
+//! sockets" extension the merge design record called for. Six public
+//! layers, each usable on its own, over one internal connection link:
 //!
 //! * [`proto`] — the framed QLVT wire protocol (v6): length-prefixed,
 //!   versioned frames carrying the QLVS summary codec plus control
@@ -24,15 +24,15 @@
 //! * [`coordinator`] — one logical stream dealt across N worker
 //!   connections: [`run_over_sockets`], and [`run_supervised`] under a
 //!   [`RecoveryPolicy`] (heartbeat failure detection, checkpoint
-//!   restore, exact replay from a bounded per-connection ring of
+//!   restore, exact replay from a bounded per-session ring of
 //!   unacknowledged frames), plus the remote-operator offload path.
 //! * [`sessions`] — the transpose of the coordinator: N whole windows
 //!   multiplexed over **one** worker connection ([`run_sessions`]),
-//!   with per-session replay rings and per-session `Restore` recovery
-//!   under supervision ([`run_sessions_supervised`]) — a respawned
-//!   process re-hosts every unfinished session, restoring each to its
-//!   own acknowledged boundary.
-//! * [`reshard`] — the one dealer/collector/link driver behind both
+//!   with per-session `Restore` recovery under supervision
+//!   ([`run_sessions_supervised`]) — a respawned process re-hosts every
+//!   unfinished session, restoring each to its own acknowledged
+//!   boundary.
+//! * [`reshard`] — the one dealer/collector driver behind both
 //!   coordinator entry points, merging each boundary group through the
 //!   double-buffered core shared with the in-process thread executor
 //!   (`qlove_stream::coordinate_pipelined`), plus **live resharding**:
@@ -41,6 +41,10 @@
 //!   never mix across a swap, with ingest paused for at most one
 //!   sub-window gap. A fixed-shard run is a resharded run with an
 //!   empty schedule.
+//! * `link` (internal) — the one connection link both socket drivers
+//!   deal through: the write half, a replay ring per session (pruned
+//!   at that session's acknowledged boundaries), the heartbeat probe,
+//!   and the respawn → handshake → re-open → replay restart.
 //! * [`chaos`] — the reusable seed-deterministic fault-injection
 //!   harness the recovery tests share: a byte-level proxy that can
 //!   cut, delay, or duplicate coordinator→worker frames at exact
@@ -61,6 +65,7 @@
 
 pub mod chaos;
 pub mod coordinator;
+mod link;
 pub mod net;
 pub mod proto;
 pub mod reshard;
@@ -532,6 +537,10 @@ mod tests {
                     });
                     send_owed(&mut writer, &mut owed)?;
                 }
+                Frame::CloseSession { .. } => {
+                    writer.write_frame(&Frame::CloseSession { session })?;
+                    writer.flush()?;
+                }
                 Frame::Shutdown => {
                     writer.write_frame(&Frame::Shutdown)?;
                     return writer.flush();
@@ -546,15 +555,16 @@ mod tests {
     /// dealer blocked in a socket write while holding the link's lock,
     /// the collector blocked on that lock to acknowledge a summary, so
     /// nobody drained the worker, which in turn stopped reading the
-    /// dealer's batches. Both one-window entry points are driven: a
-    /// fixed-shard run and a resharded run with an empty schedule. A
-    /// watchdog turns the hang into a failure.
+    /// dealer's batches. Every entry point over the shared link is
+    /// driven: a fixed-shard run, a resharded run with an empty
+    /// schedule, and a one-session multi-session run. A watchdog turns
+    /// the hang into a failure.
     #[cfg(unix)]
     #[test]
     fn bursty_worker_cannot_deadlock_an_unsupervised_run() {
         use std::os::unix::net::UnixStream;
         use std::sync::mpsc;
-        type Runner = fn(&QloveConfig, &mut Qlove, Conn, &[u64]) -> io::Result<DistributedRun>;
+        type Runner = fn(&QloveConfig, &mut Qlove, Conn, &[u64]) -> io::Result<Vec<QloveAnswer>>;
         // Unquantized tree summaries of 10K distinct values (~60 KB
         // each): a burst of 8 is far beyond a Unix socket's buffer.
         let cfg = QloveConfig::new(&[0.5, 0.99], 40_000, 10_000)
@@ -564,9 +574,9 @@ mod tests {
             .map(|i| (i * 2654435761) % (1 << 48))
             .collect();
         let want = sequential(&cfg, &data);
-        let runners: [(&str, Runner); 2] = [
+        let runners: [(&str, Runner); 3] = [
             ("run_over_sockets", |cfg, coordinator, conn, data| {
-                run_over_sockets(cfg, coordinator, vec![conn], data)
+                run_over_sockets(cfg, coordinator, vec![conn], data).map(|run| run.answers)
             }),
             ("run_resharded", |cfg, coordinator, conn, data| {
                 run_resharded(
@@ -579,6 +589,15 @@ mod tests {
                     &RecoveryPolicy::disabled(),
                     |_| Err(io::Error::other("an empty schedule opens no workers")),
                 )
+                .map(|run| run.answers)
+            }),
+            ("run_sessions", |cfg, _coordinator, conn, data| {
+                let specs = [SessionSpec {
+                    config: cfg.clone(),
+                    mode: WorkerMode::Shard,
+                    values: data.to_vec(),
+                }];
+                run_sessions(conn, &specs).map(|mut outcomes| outcomes.remove(0).answers)
             }),
         ];
         for (name, runner) in runners {
@@ -601,10 +620,70 @@ mod tests {
                     panic!("{name} deadlocked against a bursty worker");
                 }
             };
-            assert_eq!(run.answers, want, "{name}");
+            assert_eq!(run, want, "{name}");
             coordinator.join().unwrap();
             worker.join().unwrap().unwrap();
         }
+    }
+
+    /// Regression: a worker that ships one summary more than the
+    /// session dealt — for the boundary just past its dealt count, with
+    /// a full sub-window in it — is a protocol violation, not a
+    /// coordinator panic.
+    #[cfg(unix)]
+    #[test]
+    fn sessions_reject_a_summary_past_the_dealt_boundaries() {
+        use std::os::unix::net::UnixStream;
+        let cfg = config(); // period 500
+        let values: Vec<u64> = (0..1_250u64).map(|i| (i * 2654435761) % 9_973).collect();
+        let dealt = values.len().div_ceil(cfg.period) as u64; // boundaries 0..=2
+        let specs = [SessionSpec {
+            config: cfg.clone(),
+            mode: WorkerMode::Shard,
+            values,
+        }];
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let worker = std::thread::spawn(move || -> io::Result<()> {
+            let conn = Conn::Unix(theirs);
+            let mut reader = FrameReader::new(io::BufReader::new(conn.try_clone()?));
+            let mut writer = FrameWriter::new(conn);
+            let _ = reader.read_frame()?; // coordinator hello
+            writer.write_frame(&Frame::Hello {
+                version: PROTOCOL_VERSION,
+                role: Role::Worker,
+            })?;
+            writer.flush()?;
+            let mut shard = qlove_core::QloveShard::new(&cfg);
+            loop {
+                match reader.read_frame()? {
+                    Frame::EventBatch { values, .. } => shard.push_batch(&values),
+                    Frame::Boundary { session, boundary } => {
+                        writer.write_frame(&Frame::BoundarySummary {
+                            session,
+                            boundary,
+                            epoch: 0,
+                            summary: shard.take_summary(),
+                        })?;
+                        if boundary + 1 == dealt {
+                            let mut extra = qlove_core::QloveShard::new(&cfg);
+                            extra.push_batch(&vec![7; cfg.period]);
+                            writer.write_frame(&Frame::BoundarySummary {
+                                session,
+                                boundary: dealt,
+                                epoch: 0,
+                                summary: extra.take_summary(),
+                            })?;
+                        }
+                        writer.flush()?;
+                    }
+                    _ => {}
+                }
+            }
+        });
+        let err = run_sessions(Conn::Unix(ours), &specs).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // The coordinator severed the connection under the worker.
+        assert!(worker.join().unwrap().is_err());
     }
 
     #[cfg(unix)]

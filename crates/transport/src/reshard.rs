@@ -44,32 +44,34 @@
 //! ## Composition with supervision
 //!
 //! Recovery is per **connection** (a connection can briefly host two
-//! sessions: a retiring parent and its successor). Under a restartable
-//! policy every frame dealt to a connection — including the swap's
-//! `CloseSession` / `OpenSession` / `Restore` / `Reshard` control
-//! frames — rides that connection's replay ring, pruned on boundary
-//! acknowledgement; a fixed-shard run has exactly one such ring per
-//! shard. A worker killed *during* a reshard is therefore recovered by
-//! the ordinary mechanism: respawn, re-open the sessions that predate
-//! the ring (tracked as the ring's base state), `Restore` each to its
-//! acknowledged boundary, re-stamp its epoch, replay the tail — which
-//! replays the in-flight swap itself, in order, at the exact stream
-//! positions it originally held.
+//! sessions: a retiring parent and its successor), through the same
+//! connection link (`link.rs`) the multi-session driver deals through.
+//! Under a restartable policy every frame dealt to a session —
+//! including the swap's `CloseSession` and `Reshard` control frames —
+//! rides that session's replay ring, pruned as its boundaries are
+//! acknowledged; `OpenSession`, `Restore` and `Shutdown` become the
+//! link's per-session and per-connection state instead. A worker killed
+//! *during* a reshard is therefore recovered by the ordinary mechanism:
+//! respawn, re-open every session whose close was not acknowledged,
+//! `Restore` each to its acknowledged boundary, re-stamp its epoch,
+//! replay its tail — parent before successor, so the in-flight swap is
+//! replayed in order, every frame at the stream position it originally
+//! held in its session.
 
 use crate::coordinator::{
-    drive_restarts, failures_view, hello_handshake, is_timeout, join_io, protocol, DistributedRun,
-    FailureKind, RecoveryPolicy, ShardMetrics, WorkerStats, MAX_RING_BOUNDARIES,
+    drive_restarts, failures_view, join_io, protocol, DistributedRun, FailureKind, RecoveryPolicy,
+    ShardMetrics, WorkerStats,
 };
+use crate::link::{self, Link, ReadHalf, Verdict};
 use crate::net::Conn;
-use crate::proto::{Frame, FrameReader, FrameWriter, WorkerMode};
+use crate::proto::{Frame, WorkerMode};
 use qlove_core::{Qlove, QloveConfig, QloveSummary};
 use qlove_stream::coordinate_pipelined;
 use qlove_stream::parallel::{ReshardPlan, ReshardSchedule, ReshardSpec, BATCH};
 use qlove_telemetry::{EventJournal, EventKind, Stopwatch};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, BufReader};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::collections::HashSet;
+use std::io;
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -218,310 +220,16 @@ impl ConnPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Per-connection link: replay ring + base state + write half
-// ---------------------------------------------------------------------------
-
-/// A session that existed before the oldest retained ring frame; on
-/// recovery it is re-opened and restored *before* the ring is
-/// replayed. Maintained by interpreting the session-lifecycle frames
-/// as they are pruned out of the ring.
-#[derive(Debug, Clone, Copy)]
-struct BaseSession {
-    slot: u64,
-    /// Boundary the session is restored to (boundaries acknowledged).
-    acked: u64,
-    /// Epoch to re-stamp after the restore (0 = never resharded).
-    epoch: u64,
-}
-
-struct LinkState {
-    ring: VecDeque<Frame>,
-    ring_boundaries: usize,
-    /// Sessions predating the ring, with their restore coordinates.
-    base: Vec<BaseSession>,
-    /// `None` while the connection is down: frames keep ringing and
-    /// recovery replays them.
-    writer: Option<FrameWriter<Conn>>,
-    failed: bool,
-}
-
-struct ConnLink {
-    /// Whether dealt frames are retained for replay (`false` when the
-    /// policy cannot restart workers). Immutable and outside the mutex:
-    /// without retention the collector's acks never take the lock, so
-    /// it keeps reading while the dealer is blocked in a socket write
-    /// holding it — otherwise dealer, collector, and a worker with a
-    /// full outbound buffer deadlock.
-    retain: bool,
-    /// Highest acknowledged boundary + 1, for the journal's failure and
-    /// recovery records; atomic so the lock-free ack path keeps it.
-    acked: AtomicU64,
-    /// Sessions the schedule closes on this connection: their
-    /// `CloseSession` acks (possibly repeated by a replay) are skipped.
-    /// Static, so the lookup takes no lock either.
-    closing: Vec<u64>,
-    state: Mutex<LinkState>,
-    cv: Condvar,
-}
-
-impl ConnLink {
-    fn new(base: Vec<BaseSession>, closing: Vec<u64>, retain: bool) -> Self {
-        Self {
-            retain,
-            acked: AtomicU64::new(0),
-            closing,
-            state: Mutex::new(LinkState {
-                ring: VecDeque::new(),
-                ring_boundaries: 0,
-                base,
-                writer: None,
-                failed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn install_writer(&self, writer: FrameWriter<Conn>) {
-        let mut st = self.state.lock().expect("conn link poisoned");
-        st.writer = Some(writer);
-    }
-
-    /// Dealer path: ring the frame (under a restartable policy), then
-    /// push it down the socket. A failed write parks the link; the
-    /// collector notices the dead peer and recovers or ends the run.
-    /// Blocks while the ring holds [`MAX_RING_BOUNDARIES`] boundaries.
-    fn deal(&self, frame: Frame) -> io::Result<()> {
-        let mut st = self.state.lock().expect("conn link poisoned");
-        let is_boundary = matches!(frame, Frame::Boundary { .. });
-        if is_boundary {
-            while st.ring_boundaries >= MAX_RING_BOUNDARIES && !st.failed {
-                st = self.cv.wait(st).expect("conn link poisoned");
-            }
-        }
-        if st.failed {
-            return Err(io::Error::other("distributed run aborted"));
-        }
-        let flush = is_boundary || matches!(frame, Frame::Shutdown);
-        let st = &mut *st;
-        let frame = if self.retain {
-            st.ring.push_back(frame);
-            if is_boundary {
-                st.ring_boundaries += 1;
-            }
-            st.ring.back().expect("frame was just pushed")
-        } else {
-            &frame
-        };
-        if let Some(writer) = st.writer.as_mut() {
-            let sent =
-                writer
-                    .write_frame(frame)
-                    .and_then(|()| if flush { writer.flush() } else { Ok(()) });
-            if sent.is_err() {
-                st.writer = None;
-            }
-        }
-        Ok(())
-    }
-
-    /// Collector ack: `slot`'s summary for boundary `b` is merged —
-    /// prune the ring through that `Boundary` frame, folding every
-    /// pruned session-lifecycle frame into the base state, and wake a
-    /// dealer waiting on ring space.
-    fn ack_through(&self, slot: u64, b: u64) {
-        self.acked.fetch_max(b + 1, Ordering::Relaxed);
-        if !self.retain {
-            // Nothing rung, and an unsupervised dealer never parks on
-            // ring backpressure: no lock, no one to wake (see `retain`).
-            return;
-        }
-        let mut st = self.state.lock().expect("conn link poisoned");
-        let st = &mut *st;
-        while let Some(frame) = st.ring.pop_front() {
-            match frame {
-                Frame::OpenSession { session, .. } => st.base.push(BaseSession {
-                    slot: session,
-                    acked: 0,
-                    epoch: 0,
-                }),
-                Frame::Restore {
-                    session, boundary, ..
-                } => {
-                    if let Some(s) = st.base.iter_mut().find(|s| s.slot == session) {
-                        s.acked = boundary;
-                    }
-                }
-                Frame::Reshard { session, epoch, .. } => {
-                    if let Some(s) = st.base.iter_mut().find(|s| s.slot == session) {
-                        s.epoch = epoch;
-                    }
-                }
-                Frame::CloseSession { session } => st.base.retain(|s| s.slot != session),
-                Frame::Boundary { session, boundary } => {
-                    st.ring_boundaries -= 1;
-                    if let Some(s) = st.base.iter_mut().find(|s| s.slot == session) {
-                        s.acked = boundary + 1;
-                    }
-                    if session == slot && boundary == b {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.cv.notify_all();
-    }
-
-    fn acked(&self) -> u64 {
-        self.acked.load(Ordering::Relaxed)
-    }
-
-    /// Ask the worker for a heartbeat echo; fails when the link is
-    /// parked — i.e. the worker crashed.
-    fn probe(&self) -> io::Result<()> {
-        let mut st = self.state.lock().expect("conn link poisoned");
-        let st = &mut *st;
-        let session = st.base.first().map_or(0, |s| s.slot);
-        match st.writer.as_mut() {
-            Some(writer) => {
-                let sent = writer
-                    .write_frame(&Frame::Heartbeat { session })
-                    .and_then(|()| writer.flush());
-                if sent.is_err() {
-                    st.writer = None;
-                }
-                sent
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "connection link is down",
-            )),
-        }
-    }
-
-    /// Recovery: on a fresh post-handshake connection, re-open every
-    /// base session at its acknowledged boundary (re-stamping its
-    /// epoch), then replay the unacknowledged ring tail — which
-    /// replays any in-flight swap in order. Returns the frame count
-    /// replayed from the ring.
-    fn reinstall(&self, mut writer: FrameWriter<Conn>, config: &QloveConfig) -> io::Result<usize> {
-        let mut st = self.state.lock().expect("conn link poisoned");
-        for s in &st.base {
-            writer.write_frame(&Frame::OpenSession {
-                session: s.slot,
-                config: config.clone(),
-                mode: WorkerMode::Shard,
-            })?;
-            writer.write_frame(&Frame::Restore {
-                session: s.slot,
-                boundary: s.acked,
-                checkpoint: QloveSummary::default(),
-            })?;
-            if s.epoch > 0 {
-                writer.write_frame(&Frame::Reshard {
-                    session: s.slot,
-                    boundary: s.acked,
-                    epoch: s.epoch,
-                })?;
-            }
-        }
-        for frame in &st.ring {
-            writer.write_frame(frame)?;
-        }
-        writer.flush()?;
-        let replayed = st.ring.len();
-        st.writer = Some(writer);
-        Ok(replayed)
-    }
-
-    fn fail(&self) {
-        let mut st = self.state.lock().expect("conn link poisoned");
-        st.failed = true;
-        st.writer = None;
-        self.cv.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry: dealer hands fresh connections' read halves to the collector
-// ---------------------------------------------------------------------------
-
-type ReadHalf = (FrameReader<BufReader<Conn>>, Conn);
-
-struct Registry {
-    state: Mutex<RegistryState>,
-    cv: Condvar,
-}
-
-struct RegistryState {
-    /// `Some` = live read half + breaker; `None` = the dealer tried to
-    /// bring the connection up and failed (the collector treats that
-    /// as a crash and runs ordinary recovery).
-    entries: HashMap<usize, Option<ReadHalf>>,
-    aborted: bool,
-}
-
-impl Registry {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(RegistryState {
-                entries: HashMap::new(),
-                aborted: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn deposit(&self, conn: usize, entry: Option<ReadHalf>) {
-        let mut st = self.state.lock().expect("registry poisoned");
-        st.entries.insert(conn, entry);
-        self.cv.notify_all();
-    }
-
-    /// Wait (bounded) for the dealer to deposit connection `conn`.
-    fn take(&self, conn: usize, deadline: Duration) -> io::Result<Option<ReadHalf>> {
-        let mut st = self.state.lock().expect("registry poisoned");
-        let end = Instant::now() + deadline;
-        loop {
-            if let Some(entry) = st.entries.remove(&conn) {
-                return Ok(entry);
-            }
-            if st.aborted {
-                return Err(io::Error::other("distributed run aborted"));
-            }
-            let now = Instant::now();
-            if now >= end {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("connection {conn} was never established by the dealer"),
-                ));
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, end - now)
-                .expect("registry poisoned");
-            st = guard;
-        }
-    }
-
-    fn abort(&self) {
-        let mut st = self.state.lock().expect("registry poisoned");
-        st.aborted = true;
-        self.cv.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Collector
 // ---------------------------------------------------------------------------
 
 struct Collector<'a, R> {
-    config: &'a QloveConfig,
     policy: &'a RecoveryPolicy,
-    links: &'a [ConnLink],
-    readers: Vec<Option<FrameReader<BufReader<Conn>>>>,
-    breakers: Vec<Option<Conn>>,
-    registry: &'a Registry,
+    links: &'a [Link],
+    reads: Vec<Option<ReadHalf>>,
+    /// Connection index → sessions the schedule closes on it: their
+    /// `CloseSession` acks (possibly repeated by a replay) are skipped.
+    closing: &'a [Vec<u64>],
     respawn: R,
     restarts: Vec<u32>,
     journal: &'a EventJournal,
@@ -530,102 +238,27 @@ struct Collector<'a, R> {
     worker_stats: Vec<WorkerStats>,
 }
 
-type Verdict = (FailureKind, u64, io::Error);
-
 impl<R: FnMut(usize) -> io::Result<Conn>> Collector<'_, R> {
-    /// Make sure `conn`'s read half is installed, fetching it from the
-    /// registry for connections born mid-run.
-    fn ensure_reader(&mut self, conn: usize) -> Result<(), Verdict> {
-        if self.readers[conn].is_some() {
-            return Ok(());
-        }
-        let deadline = self.policy.deadline.max(Duration::from_secs(30));
-        match self.registry.take(conn, deadline) {
-            Ok(Some((reader, breaker))) => {
-                self.readers[conn] = Some(reader);
-                self.breakers[conn] = Some(breaker);
-                Ok(())
-            }
-            Ok(None) => Err((
-                FailureKind::Crash,
-                0,
-                io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    format!("worker connection {conn} never came up"),
-                ),
-            )),
-            Err(e) => Err((FailureKind::Crash, 0, e)),
-        }
-    }
-
-    /// Read one frame from `conn`, probing through read deadlines.
+    /// Read one frame from `conn`, probing through read deadlines; a
+    /// connection born mid-run first has its read half taken over from
+    /// the dealer.
     fn read_with_probe(&mut self, conn: usize) -> Result<Frame, Verdict> {
-        self.ensure_reader(conn)?;
-        let mut silent_since: Option<Stopwatch> = None;
-        let mut probed = false;
-        loop {
-            let reader = self.readers[conn].as_mut().expect("reader just ensured");
-            match reader.read_frame() {
-                Ok(Frame::Heartbeat { .. }) => {
-                    silent_since = None;
-                    probed = false;
+        if self.reads[conn].is_none() {
+            let deadline = self.policy.deadline.max(Duration::from_secs(30));
+            match self.links[conn].take_over(deadline) {
+                Ok(Some(read)) => self.reads[conn] = Some(read),
+                Ok(None) => {
+                    let e = io::Error::new(
+                        io::ErrorKind::ConnectionRefused,
+                        format!("worker connection {conn} never came up"),
+                    );
+                    return Err((FailureKind::Crash, 0, e));
                 }
-                // A stats reply, like a heartbeat echo, may arrive
-                // between any two expected frames and proves life.
-                Ok(Frame::StatsReport {
-                    session,
-                    batches,
-                    events,
-                    boundaries,
-                    responses,
-                }) => {
-                    if let Some(stats) = self.worker_stats.get_mut(session as usize) {
-                        *stats = WorkerStats {
-                            session,
-                            batches,
-                            events,
-                            boundaries,
-                            responses,
-                        };
-                    }
-                    silent_since = None;
-                    probed = false;
-                }
-                Ok(frame) => return Ok(frame),
-                Err(e) if is_timeout(&e) => {
-                    let since = *silent_since.get_or_insert_with(Stopwatch::start);
-                    if probed {
-                        return Err((FailureKind::Stall, since.elapsed_us(), e));
-                    }
-                    if self.links[conn].probe().is_err() {
-                        return Err((FailureKind::Crash, since.elapsed_us(), e));
-                    }
-                    probed = true;
-                }
-                Err(e) => {
-                    let detect_us = silent_since.map(|s| s.elapsed_us()).unwrap_or(0);
-                    return Err((FailureKind::Crash, detect_us, e));
-                }
+                Err(e) => return Err((FailureKind::Crash, 0, e)),
             }
         }
-    }
-
-    /// One restart attempt: respawn, arm, handshake, base restore +
-    /// ring replay (which re-executes any in-flight swap), swap the
-    /// read half in. Returns `(frames replayed, restore µs, replay µs)`.
-    fn try_restart(&mut self, conn: usize) -> io::Result<(usize, u64, u64)> {
-        let restore = Stopwatch::start();
-        let fresh = (self.respawn)(conn)?;
-        self.policy.arm(&fresh)?;
-        let breaker = fresh.try_clone()?;
-        let (reader, writer) = hello_handshake(fresh)?;
-        let restore_us = restore.elapsed_us();
-        let replay = Stopwatch::start();
-        let replayed = self.links[conn].reinstall(writer, self.config)?;
-        let replay_us = replay.elapsed_us();
-        self.readers[conn] = Some(reader);
-        self.breakers[conn] = Some(breaker);
-        Ok((replayed, restore_us, replay_us))
+        let read = self.reads[conn].as_mut().expect("read half just ensured");
+        read.read_with_probe(&self.links[conn], &mut self.worker_stats)
     }
 
     /// Drive recovery of `conn` to completion or declare the run dead.
@@ -633,28 +266,33 @@ impl<R: FnMut(usize) -> io::Result<Conn>> Collector<'_, R> {
     /// in the run's event journal.
     fn recover(&mut self, conn: usize, verdict: Verdict) -> io::Result<()> {
         let (kind, detect_us, cause) = verdict;
-        if let Some(b) = &self.breakers[conn] {
-            let _ = b.shutdown();
+        if let Some(read) = &self.reads[conn] {
+            read.sever();
         }
         let stall = kind == FailureKind::Stall;
+        let link = &self.links[conn];
         self.journal.emit(EventKind::Failure {
             domain: conn,
-            boundary: self.links[conn].acked(),
+            boundary: link.acked(),
             stall,
             detect_us,
         });
-        let policy = self.policy;
+        let (policy, respawn) = (self.policy, &mut self.respawn);
         let (restarts, outcome) = drive_restarts(policy, conn as u64, self.restarts[conn], || {
-            self.try_restart(conn)
+            link::restart(link, policy, || respawn(conn))
         });
         self.restarts[conn] = restarts;
         let (replayed, restore_us, replay_us, recovered) = match outcome {
-            Some((replayed, restore_us, replay_us)) => (replayed, restore_us, replay_us, true),
+            Some(restart) => {
+                self.reads[conn] = Some(restart.read);
+                let replayed = restart.restored.iter().map(|r| r.replayed).sum();
+                (replayed, restart.restore_us, restart.replay_us, true)
+            }
             None => (0, 0, 0, false),
         };
         self.journal.emit(EventKind::Recovery {
             domain: conn,
-            boundary: self.links[conn].acked(),
+            boundary: link.acked(),
             stall,
             restarts,
             detect_us,
@@ -689,16 +327,19 @@ impl<R: FnMut(usize) -> io::Result<Conn>> Collector<'_, R> {
                     epoch: got,
                     summary,
                 }) if session == slot && boundary == b && got == epoch => {
-                    self.links[conn].ack_through(slot, b);
+                    self.links[conn].ack(slot, b);
                     let metrics = &self.metrics[slot as usize];
-                    if let Some(reader) = &self.readers[conn] {
-                        metrics.summary_bytes.add(reader.last_frame_len() as u64);
+                    if let Some(read) = &self.reads[conn] {
+                        metrics
+                            .summary_bytes
+                            .add(read.reader.last_frame_len() as u64);
                     }
                     metrics.subwindow.set(summary.total() as i64);
                     return Ok(summary);
                 }
-                Ok(Frame::CloseSession { session })
-                    if self.links[conn].closing.contains(&session) => {}
+                Ok(Frame::CloseSession { session }) if self.closing[conn].contains(&session) => {
+                    self.links[conn].close_acked(session)
+                }
                 Ok(other) => {
                     return Err(protocol(format!(
                         "expected summary for slot {slot} boundary {b} epoch {epoch}, \
@@ -715,8 +356,9 @@ impl<R: FnMut(usize) -> io::Result<Conn>> Collector<'_, R> {
         loop {
             match self.read_with_probe(conn) {
                 Ok(Frame::Shutdown) => return Ok(()),
-                Ok(Frame::CloseSession { session })
-                    if self.links[conn].closing.contains(&session) => {}
+                Ok(Frame::CloseSession { session }) if self.closing[conn].contains(&session) => {
+                    self.links[conn].close_acked(session)
+                }
                 Ok(other) => return Err(protocol(format!("expected shutdown ack, got {other:?}"))),
                 Err(verdict) => self.recover(conn, verdict)?,
             }
@@ -730,50 +372,33 @@ impl<R: FnMut(usize) -> io::Result<Conn>> Collector<'_, R> {
     fn drain_retired(&mut self, conn: usize) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline {
-            let Some(reader) = self.readers[conn].as_mut() else {
+            let Some(read) = self.reads[conn].as_mut() else {
                 break;
             };
-            match reader.read_frame() {
+            match read.reader.read_frame() {
                 Ok(Frame::Shutdown) => break,
                 Ok(Frame::CloseSession { .. }) | Ok(Frame::Heartbeat { .. }) => {}
                 Ok(_) | Err(_) => break,
             }
         }
-        if let Some(b) = self.breakers[conn].take() {
-            let _ = b.shutdown();
+        if let Some(read) = self.reads[conn].take() {
+            read.sever();
         }
-        self.readers[conn] = None;
     }
 
     fn fail_all(&mut self) {
-        for b in self.breakers.iter().flatten() {
-            let _ = b.shutdown();
+        for read in self.reads.iter().flatten() {
+            read.sever();
         }
         for link in self.links {
             link.fail();
         }
-        self.registry.abort();
     }
 }
 
 // ---------------------------------------------------------------------------
 // Dealer-side swap
 // ---------------------------------------------------------------------------
-
-/// Bring a fresh worker connection up: connect, arm deadlines, hello
-/// handshake. Returns the read half + breaker for the registry and the
-/// write half for the link.
-fn open_fresh<D: Fn(usize) -> io::Result<Conn>>(
-    conn: usize,
-    hook: &D,
-    policy: &RecoveryPolicy,
-) -> io::Result<(ReadHalf, FrameWriter<Conn>)> {
-    let fresh = hook(conn)?;
-    policy.arm(&fresh)?;
-    let breaker = fresh.try_clone()?;
-    let (reader, writer) = hello_handshake(fresh)?;
-    Ok(((reader, breaker), writer))
-}
 
 /// Execute the swap opening `epoch`, between dealing sub-window
 /// `boundary - 1` and sub-window `boundary`.
@@ -782,10 +407,9 @@ fn execute_swap<D: Fn(usize) -> io::Result<Conn>>(
     epoch: u64,
     schedule: &ReshardSchedule,
     plan: &ConnPlan,
-    links: &[ConnLink],
+    links: &[Link],
     config: &QloveConfig,
     policy: &RecoveryPolicy,
-    registry: &Registry,
     fresh: &D,
     open_conns: &mut HashSet<usize>,
 ) -> io::Result<ReshardEvent> {
@@ -836,13 +460,7 @@ fn execute_swap<D: Fn(usize) -> io::Result<Conn>>(
             // up is not fatal here: the frames below are retained in
             // the (parked) link's ring, and the collector's ordinary
             // recovery path brings the connection up and replays them.
-            match open_fresh(conn, fresh, policy) {
-                Ok((read_half, writer)) => {
-                    links[conn].install_writer(writer);
-                    registry.deposit(conn, Some(read_half));
-                }
-                Err(_) => registry.deposit(conn, None),
-            }
+            links[conn].hand_over(fresh(conn).and_then(|c| link::open(c, policy)).ok());
         }
         checkpoint_bytes += checkpoint.to_bytes().len();
         links[conn].deal(Frame::OpenSession {
@@ -979,53 +597,31 @@ where
     // Links for every connection the schedule will ever use; the ones
     // beyond the initial fleet stay dormant (no writer) until their
     // swap brings them up.
-    let links: Vec<ConnLink> = (0..plan.conns())
-        .map(|conn| {
-            let base = if conn < shards {
-                vec![BaseSession {
-                    slot: conn as u64,
-                    acked: 0,
-                    epoch: 0,
-                }]
-            } else {
-                Vec::new()
-            };
-            ConnLink::new(base, plan.closing[conn].clone(), policy.enabled())
-        })
+    let links: Vec<Link> = (0..plan.conns())
+        .map(|_| Link::new(policy.enabled()))
         .collect();
-
-    // Bring the initial fleet up. The initial `OpenSession`s are *not*
-    // ringed — the base state re-opens them on recovery.
-    let mut readers: Vec<Option<FrameReader<BufReader<Conn>>>> =
-        (0..plan.conns()).map(|_| None).collect();
-    let mut breakers: Vec<Option<Conn>> = (0..plan.conns()).map(|_| None).collect();
+    let mut reads: Vec<Option<ReadHalf>> = (0..plan.conns()).map(|_| None).collect();
     for (conn, c) in conns.into_iter().enumerate() {
-        policy.arm(&c)?;
-        breakers[conn] = Some(c.try_clone()?);
-        let (reader, mut writer) = hello_handshake(c)?;
-        writer.write_frame(&Frame::OpenSession {
+        let (read, writer) = link::open(c, policy)?;
+        reads[conn] = Some(read);
+        links[conn].install(writer);
+        links[conn].deal(Frame::OpenSession {
             session: conn as u64,
             config: config.clone(),
             mode: WorkerMode::Shard,
         })?;
-        writer.flush()?;
-        readers[conn] = Some(reader);
-        links[conn].install_writer(writer);
     }
 
-    let registry = Registry::new();
     // One journal per run: the dealer's reshard/pause records and the
     // collector's failure/recovery records interleave in causal order.
     let journal = EventJournal::new();
     let slots = schedule.slot_count();
     let metrics: Vec<ShardMetrics> = (0..slots).map(ShardMetrics::for_shard).collect();
     let mut collector = Collector {
-        config,
         policy,
         links: &links,
-        readers,
-        breakers,
-        registry: &registry,
+        reads,
+        closing: &plan.closing,
         respawn,
         restarts: vec![0; plan.conns()],
         journal: &journal,
@@ -1037,7 +633,6 @@ where
         let links_ref = &links;
         let schedule_ref = &schedule;
         let plan_ref = &plan;
-        let registry_ref = &registry;
         let journal_ref = &journal;
         let metrics_ref = &metrics;
         let fresh_ref = &fresh;
@@ -1068,7 +663,6 @@ where
                         links_ref,
                         config,
                         policy,
-                        registry_ref,
                         fresh_ref,
                         &mut open_conns,
                     )?;

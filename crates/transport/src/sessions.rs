@@ -10,12 +10,18 @@
 //! per round) so no stream monopolizes the socket, and the collector
 //! demultiplexes responses by the session ID every frame carries.
 //!
+//! The connection itself — write half, replay rings, heartbeat probe,
+//! restart — is the link (`link.rs`) the one-window driver in
+//! [`crate::reshard`] deals through as well; this module keeps the
+//! round-robin dealer, the demultiplexing collector and its journal
+//! records.
+//!
 //! ## Per-session recovery
 //!
 //! [`run_sessions_supervised`] retains every dealt frame in a
 //! per-session replay ring, pruned at each acknowledged boundary. When
 //! the worker process dies (crash or stall, detected exactly as in the
-//! supervised coordinator), the replacement connection re-opens **only
+//! one-window driver), the replacement connection re-opens **only
 //! the sessions that had not finished**, restores each to *its own*
 //! acknowledged boundary with a session-scoped [`Frame::Restore`], and
 //! replays each session's ring — sessions whose `CloseSession` was
@@ -26,17 +32,16 @@
 //! supervised mixed-mode run is rejected up front.
 
 use crate::coordinator::{
-    drive_restarts, failures_view, hello_handshake, is_timeout, join_io, protocol, FailureEvent,
-    FailureKind, RecoveryPolicy, WorkerStats, MAX_RING_BOUNDARIES,
+    drive_restarts, failures_view, join_io, protocol, FailureEvent, FailureKind, RecoveryPolicy,
+    WorkerStats,
 };
+use crate::link::{self, Link, ReadHalf, Verdict};
 use crate::net::Conn;
-use crate::proto::{Frame, FrameReader, FrameWriter, WorkerMode};
-use qlove_core::{Qlove, QloveAnswer, QloveConfig, QloveSummary};
+use crate::proto::{Frame, WorkerMode};
+use qlove_core::{Qlove, QloveAnswer, QloveConfig};
 use qlove_stream::parallel::BATCH;
-use qlove_telemetry::{EventJournal, EventKind, Stopwatch};
-use std::collections::VecDeque;
-use std::io::{self, BufReader};
-use std::sync::{Condvar, Mutex};
+use qlove_telemetry::{EventJournal, EventKind};
+use std::io;
 use std::thread;
 
 /// One session to run on the shared connection.
@@ -84,142 +89,6 @@ pub struct SessionsRun {
     /// session closed, in `specs` order (all-zero when the worker died
     /// before answering a session's scrape).
     pub worker_stats: Vec<WorkerStats>,
-}
-
-/// Replay state for one session on the shared connection.
-struct MuxSession {
-    /// Dealt frames not yet covered by a boundary acknowledgement (or
-    /// the close acknowledgement, which clears the ring outright).
-    ring: VecDeque<Frame>,
-    /// `Boundary` frames currently in the ring — this session's dealer
-    /// run-ahead budget.
-    ring_boundaries: usize,
-    /// Boundaries acknowledged so far (== the boundary a restored
-    /// session resumes from).
-    acked: u64,
-    /// The worker acknowledged this session's `CloseSession`: it is
-    /// finished and recovery must not reopen it.
-    closed: bool,
-}
-
-/// Everything the dealer and collector share about the connection.
-struct MuxState {
-    sessions: Vec<MuxSession>,
-    /// Live write half; `None` while the worker is down (frames keep
-    /// ringing and recovery replays them).
-    writer: Option<FrameWriter<Conn>>,
-    /// The dealer finished and sent (or tried to send) the final
-    /// `Shutdown`; recovery must re-send it on the replacement
-    /// connection.
-    shutdown_sent: bool,
-    failed: bool,
-}
-
-struct MuxLink {
-    /// Retain dealt frames for replay (supervised runs). Immutable, and
-    /// deliberately *outside* the mutex: when `false` the collector's
-    /// acknowledgements are lock-free no-ops, so the collector can
-    /// never stop reading behind a dealer that is blocked in a socket
-    /// write while holding the state lock. (Dealer blocked writing →
-    /// collector blocked on the lock → collector stops reading → the
-    /// worker fills its outbound buffer and stops reading its inbound →
-    /// the dealer's write never completes: a three-party deadlock this
-    /// layout makes impossible in the unsupervised path.)
-    retain: bool,
-    state: Mutex<MuxState>,
-    cv: Condvar,
-}
-
-impl MuxLink {
-    fn new(writer: FrameWriter<Conn>, sessions: usize, retain: bool) -> Self {
-        Self {
-            retain,
-            state: Mutex::new(MuxState {
-                sessions: (0..sessions)
-                    .map(|_| MuxSession {
-                        ring: VecDeque::new(),
-                        ring_boundaries: 0,
-                        acked: 0,
-                        closed: false,
-                    })
-                    .collect(),
-                writer: Some(writer),
-                shutdown_sent: false,
-                failed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Collector ack: session `s` boundary `b` merged — prune its ring
-    /// through the matching `Boundary` frame and wake the dealer.
-    fn ack(&self, s: usize, b: u64) {
-        if !self.retain {
-            // Nothing rung, and an unsupervised dealer never parks on
-            // ring backpressure, so there is no one to wake. Skipping
-            // the lock keeps the collector reading even while the
-            // dealer is mid-write holding it (see `retain` above).
-            return;
-        }
-        let mut st = self.state.lock().expect("mux link poisoned");
-        let sess = &mut st.sessions[s];
-        sess.acked = b + 1;
-        while let Some(frame) = sess.ring.pop_front() {
-            if matches!(frame, Frame::Boundary { boundary, .. } if boundary == b) {
-                sess.ring_boundaries -= 1;
-                break;
-            }
-        }
-        self.cv.notify_all();
-    }
-
-    /// Collector: the worker acknowledged session `s`'s close — its
-    /// effects are fully durable, drop the replay state for good.
-    fn close_acked(&self, s: usize) {
-        if !self.retain {
-            return; // no ring to drop; `closed` only matters to recovery
-        }
-        let mut st = self.state.lock().expect("mux link poisoned");
-        let sess = &mut st.sessions[s];
-        sess.closed = true;
-        sess.ring.clear();
-        sess.ring_boundaries = 0;
-        self.cv.notify_all();
-    }
-
-    /// Terminal: wake and stop everyone.
-    fn fail(&self) {
-        let mut st = self.state.lock().expect("mux link poisoned");
-        st.failed = true;
-        st.writer = None;
-        self.cv.notify_all();
-    }
-}
-
-/// Ring `frame` for session `s` (when retaining) and push it down the
-/// socket; a failed write parks the writer for the collector to
-/// notice. Caller holds the state lock.
-fn push_frame(st: &mut MuxState, retain: bool, s: usize, frame: Frame) {
-    let is_boundary = matches!(frame, Frame::Boundary { .. });
-    let flush = is_boundary || matches!(frame, Frame::CloseSession { .. });
-    let frame = if retain {
-        let sess = &mut st.sessions[s];
-        sess.ring.push_back(frame);
-        if is_boundary {
-            sess.ring_boundaries += 1;
-        }
-        sess.ring.back().expect("frame was just pushed")
-    } else {
-        &frame
-    };
-    if let Some(writer) = st.writer.as_mut() {
-        let sent = writer
-            .write_frame(frame)
-            .and_then(|()| if flush { writer.flush() } else { Ok(()) });
-        if sent.is_err() {
-            st.writer = None;
-        }
-    }
 }
 
 /// The dealer's per-session position: what to send next. Units come
@@ -323,68 +192,41 @@ impl<'a> DealCursor<'a> {
 /// per round), then send the connection `Shutdown`. A session whose
 /// ring is at its boundary bound is skipped for the round; when every
 /// live session is blocked the dealer waits for a collector ack.
-fn deal_all(link: &MuxLink, specs: &[SessionSpec]) -> io::Result<()> {
+fn deal_all(link: &Link, specs: &[SessionSpec]) -> io::Result<()> {
     let mut cursors: Vec<DealCursor> = specs
         .iter()
         .enumerate()
         .map(|(s, spec)| DealCursor::new(s as u64, spec))
         .collect();
+    let mut blocked = Vec::new();
     loop {
-        let mut st = link.state.lock().expect("mux link poisoned");
-        if st.failed {
-            return Err(io::Error::other("multi-session run aborted"));
-        }
+        blocked.clear();
         let mut progressed = false;
         let mut all_done = true;
-        for (s, cursor) in cursors.iter_mut().enumerate() {
-            if cursor.done() {
+        for cursor in cursors.iter_mut().filter(|c| !c.done()) {
+            all_done = false;
+            if cursor.boundary_due() && !link.has_room(cursor.session) {
+                blocked.push(cursor.session); // backpressured: sits the round out
                 continue;
             }
-            all_done = false;
-            if cursor.boundary_due()
-                && link.retain
-                && st.sessions[s].ring_boundaries >= MAX_RING_BOUNDARIES
-            {
-                continue; // backpressured: this session sits the round out
-            }
-            let frame = cursor.next_unit();
-            push_frame(&mut st, link.retain, s, frame);
+            link.deal(cursor.next_unit())?;
             progressed = true;
         }
         if all_done {
-            st.shutdown_sent = true;
-            if let Some(writer) = st.writer.as_mut() {
-                let sent = writer
-                    .write_frame(&Frame::Shutdown)
-                    .and_then(|()| writer.flush());
-                if sent.is_err() {
-                    st.writer = None;
-                }
-            }
-            return Ok(());
+            return link.deal(Frame::Shutdown);
         }
         if !progressed {
-            // Every live session is waiting on ring space: sleep until
-            // an ack (or failure) changes that. The re-check happens
-            // at the top of the loop under the same lock, so a wakeup
-            // cannot be missed.
-            drop(link.cv.wait(st).expect("mux link poisoned"));
+            link.wait_for_room(&blocked)?;
         }
     }
 }
 
-/// The collector's connection-level view: reader, breaker, recovery
-/// bookkeeping.
-/// One session brought back by a restart: `(session index, boundary it
-/// resumed from, frames replayed)`.
-type RestoredSession = (usize, u64, usize);
-
+/// The collector's connection-level view: the read half, and the
+/// recovery bookkeeping that turns a failure into journal records.
 struct MuxCollector<'a, F> {
-    link: &'a MuxLink,
-    specs: &'a [SessionSpec],
+    link: &'a Link,
     policy: &'a RecoveryPolicy,
-    reader: FrameReader<BufReader<Conn>>,
-    breaker: Conn,
+    read: ReadHalf,
     respawn: F,
     restarts: u32,
     journal: &'a EventJournal,
@@ -392,202 +234,180 @@ struct MuxCollector<'a, F> {
 }
 
 impl<F: FnMut() -> io::Result<Conn>> MuxCollector<'_, F> {
-    /// Ask the worker for a heartbeat echo (proof its event loop is
-    /// alive). Session 0 is named arbitrarily; the worker echoes
-    /// regardless of session state.
-    fn probe(&self) -> io::Result<()> {
-        let mut st = self.link.state.lock().expect("mux link poisoned");
-        let st = &mut *st;
-        match st.writer.as_mut() {
-            Some(writer) => {
-                let sent = writer
-                    .write_frame(&Frame::Heartbeat { session: 0 })
-                    .and_then(|()| writer.flush());
-                if sent.is_err() {
-                    st.writer = None;
-                }
-                sent
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "worker link is down",
-            )),
-        }
-    }
-
-    /// Read one frame, probing through read deadlines (same two-silent-
-    /// intervals verdict as the supervised coordinator).
-    fn read_with_probe(&mut self) -> Result<Frame, (FailureKind, u64, io::Error)> {
-        let mut silent_since: Option<Stopwatch> = None;
-        let mut probed = false;
-        loop {
-            match self.reader.read_frame() {
-                Ok(Frame::Heartbeat { .. }) => {
-                    silent_since = None;
-                    probed = false;
-                }
-                // A stats scrape reply is absorbed here (latest report
-                // wins — a replayed scrape after recovery overwrites);
-                // it also proves the worker is alive.
-                Ok(Frame::StatsReport {
-                    session,
-                    batches,
-                    events,
-                    boundaries,
-                    responses,
-                }) => {
-                    if let Some(slot) = usize::try_from(session)
-                        .ok()
-                        .filter(|&s| s < self.worker_stats.len())
-                    {
-                        self.worker_stats[slot] = WorkerStats {
-                            session,
-                            batches,
-                            events,
-                            boundaries,
-                            responses,
-                        };
-                    }
-                    silent_since = None;
-                    probed = false;
-                }
-                Ok(frame) => return Ok(frame),
-                Err(e) if is_timeout(&e) => {
-                    let since = *silent_since.get_or_insert_with(Stopwatch::start);
-                    if probed {
-                        return Err((FailureKind::Stall, since.elapsed_us(), e));
-                    }
-                    if self.probe().is_err() {
-                        return Err((FailureKind::Crash, since.elapsed_us(), e));
-                    }
-                    probed = true;
-                }
-                Err(e) => {
-                    let detect_us = silent_since.map(|s| s.elapsed_us()).unwrap_or(0);
-                    return Err((FailureKind::Crash, detect_us, e));
-                }
-            }
-        }
-    }
-
-    /// One restart attempt: respawn a worker process, handshake the new
-    /// connection, then re-open **every unfinished session** on it —
-    /// each with its own `OpenSession` + session-scoped `Restore` to
-    /// its own acknowledged boundary + its own ring replay. Returns
-    /// `(restored sessions, restore_us, replay_us)`.
-    fn try_restart(&mut self) -> io::Result<(Vec<RestoredSession>, u64, u64)> {
-        let restore_start = Stopwatch::start();
-        let conn = (self.respawn)()?;
-        self.policy.arm(&conn)?;
-        let breaker = conn.try_clone()?;
-        let (reader, mut writer) = hello_handshake(conn)?;
-        let restore_us = restore_start.elapsed_us();
-        let replay_start = Stopwatch::start();
-        let mut st = self.link.state.lock().expect("mux link poisoned");
-        let st = &mut *st;
-        let mut restored = Vec::new();
-        for (s, sess) in st.sessions.iter().enumerate() {
-            if sess.closed {
-                continue;
-            }
-            writer.write_frame(&Frame::OpenSession {
-                session: s as u64,
-                config: self.specs[s].config.clone(),
-                mode: WorkerMode::Shard,
-            })?;
-            writer.write_frame(&Frame::Restore {
-                session: s as u64,
-                boundary: sess.acked,
-                checkpoint: QloveSummary::default(),
-            })?;
-            for frame in &sess.ring {
-                writer.write_frame(frame)?;
-            }
-            restored.push((s, sess.acked, sess.ring.len()));
-        }
-        if st.shutdown_sent {
-            writer.write_frame(&Frame::Shutdown)?;
-        }
-        writer.flush()?;
-        st.writer = Some(writer);
-        self.link.cv.notify_all();
-        let replay_us = replay_start.elapsed_us();
-        self.reader = reader;
-        self.breaker = breaker;
-        Ok((restored, restore_us, replay_us))
-    }
-
     /// Drive recovery of the whole connection to completion or declare
     /// the run dead. Every unfinished session is restored individually;
     /// one [`EventKind::Recovery`] record is journaled per restored
     /// session (surfacing as one [`FailureEvent`] each in the view).
-    fn recover(&mut self, kind: FailureKind, detect_us: u64, cause: io::Error) -> io::Result<()> {
-        // Sever the old socket first: a stalled worker that wakes up
-        // later must find its stream dead, never the recovered one.
-        let _ = self.breaker.shutdown();
+    fn recover(&mut self, verdict: Verdict) -> io::Result<()> {
+        let (kind, detect_us, cause) = verdict;
+        self.read.sever();
         if !self.policy.enabled() {
             return Err(cause);
         }
         let stall = kind == FailureKind::Stall;
-        let lowest_acked = {
-            let st = self.link.state.lock().expect("mux link poisoned");
-            st.sessions
-                .iter()
-                .filter(|s| !s.closed)
-                .map(|s| s.acked)
-                .min()
-                .unwrap_or(0)
-        };
         self.journal.emit(EventKind::Failure {
             // The whole connection is one failure domain (every session
             // shares the socket): domain 0, at the least-restored
             // unfinished session's boundary.
             domain: 0,
-            boundary: lowest_acked,
+            boundary: self.link.unfinished_floor(),
             stall,
             detect_us,
         });
-        let policy = self.policy;
-        let (restarts, outcome) = drive_restarts(policy, 0, self.restarts, || self.try_restart());
+        let (link, policy, respawn) = (self.link, self.policy, &mut self.respawn);
+        let (restarts, outcome) = drive_restarts(policy, 0, self.restarts, || {
+            link::restart(link, policy, &mut *respawn)
+        });
         self.restarts = restarts;
-        match outcome {
-            Some((restored, restore_us, replay_us)) => {
-                for (s, boundary, replayed) in restored {
-                    self.journal.emit(EventKind::Recovery {
-                        domain: s,
-                        boundary,
-                        stall,
-                        restarts,
-                        detect_us,
-                        restore_us,
-                        replay_us,
-                        replayed_frames: replayed,
-                        recovered: true,
-                    });
-                }
-                Ok(())
-            }
-            None => {
-                self.journal.emit(EventKind::Recovery {
-                    domain: 0,
-                    boundary: 0,
-                    stall,
-                    restarts,
-                    detect_us,
-                    restore_us: 0,
-                    replay_us: 0,
-                    replayed_frames: 0,
-                    recovered: false,
-                });
-                Err(cause)
-            }
+        let Some(restart) = outcome else {
+            self.journal.emit(EventKind::Recovery {
+                domain: 0,
+                boundary: 0,
+                stall,
+                restarts,
+                detect_us,
+                restore_us: 0,
+                replay_us: 0,
+                replayed_frames: 0,
+                recovered: false,
+            });
+            return Err(cause);
+        };
+        for restored in restart.restored {
+            self.journal.emit(EventKind::Recovery {
+                domain: restored.session as usize,
+                boundary: restored.boundary,
+                stall,
+                restarts,
+                detect_us,
+                restore_us: restart.restore_us,
+                replay_us: restart.replay_us,
+                replayed_frames: restored.replayed,
+                recovered: true,
+            });
         }
+        self.read = restart.read;
+        Ok(())
     }
 
     fn fail_all(&mut self) {
-        let _ = self.breaker.shutdown();
+        self.read.sever();
         self.link.fail();
     }
+
+    /// Read (recovering as needed) and demultiplex by session ID until
+    /// the worker acknowledges the connection's shutdown.
+    fn collect(&mut self, specs: &[SessionSpec], sessions: &mut [Collected]) -> io::Result<()> {
+        let mut open = sessions.len();
+        loop {
+            let frame = match self.read.read_with_probe(self.link, &mut self.worker_stats) {
+                Ok(frame) => frame,
+                Err(verdict) => {
+                    self.recover(verdict)?;
+                    continue;
+                }
+            };
+            let index = |session: u64| -> io::Result<usize> {
+                usize::try_from(session)
+                    .ok()
+                    .filter(|&s| s < sessions.len())
+                    .ok_or_else(|| protocol(format!("frame for unknown session {session}")))
+            };
+            match frame {
+                Frame::BoundarySummary {
+                    session,
+                    boundary,
+                    epoch: 0,
+                    summary,
+                } => {
+                    let s = index(session)?;
+                    let st = &mut sessions[s];
+                    let Some(merge) = st.merge.as_mut() else {
+                        return Err(protocol(format!(
+                            "session {s}: boundary summary from an operator session"
+                        )));
+                    };
+                    if st.closed || boundary != st.merged {
+                        return Err(protocol(format!(
+                            "session {s}: summary for boundary {boundary} out of order \
+                             (expected {})",
+                            st.merged
+                        )));
+                    }
+                    let len = specs[s].values.len();
+                    let period = specs[s].config.period;
+                    let dealt = len.div_ceil(period) as u64;
+                    if boundary >= dealt {
+                        return Err(protocol(format!(
+                            "session {s}: summary for boundary {boundary}, \
+                             but only {dealt} were dealt"
+                        )));
+                    }
+                    let expected = (len - (boundary as usize) * period).min(period) as u64;
+                    if summary.total() != expected {
+                        return Err(protocol(format!(
+                            "session {s} boundary {boundary}: summary covers {} elements, \
+                             dealt {expected}",
+                            summary.total()
+                        )));
+                    }
+                    if let Some(answer) = merge.merge(&summary) {
+                        st.answers.push(answer);
+                    }
+                    st.merged += 1;
+                    self.link.ack(session, boundary);
+                }
+                Frame::Answer {
+                    session,
+                    boundary,
+                    answer,
+                } => {
+                    let s = index(session)?;
+                    let st = &mut sessions[s];
+                    if st.merge.is_some() {
+                        return Err(protocol(format!(
+                            "session {s}: answer frame from a shard session"
+                        )));
+                    }
+                    if st.closed || boundary != st.answers.len() as u64 {
+                        return Err(protocol(format!(
+                            "session {s}: answer {boundary} out of order (expected {})",
+                            st.answers.len()
+                        )));
+                    }
+                    st.answers.push(answer);
+                }
+                Frame::CloseSession { session } => {
+                    let s = index(session)?;
+                    if sessions[s].closed {
+                        return Err(protocol(format!("session {s}: duplicate close ack")));
+                    }
+                    sessions[s].closed = true;
+                    open -= 1;
+                    self.link.close_acked(session);
+                }
+                Frame::Shutdown if open == 0 => return Ok(()),
+                Frame::Shutdown => {
+                    return Err(protocol(format!(
+                        "shutdown ack with {open} sessions still open"
+                    )))
+                }
+                other => return Err(protocol(format!("unexpected frame {other:?}"))),
+            }
+        }
+    }
+}
+
+/// What the collector has gathered for one session.
+struct Collected {
+    /// The client-side merge (shard mode; operator sessions get their
+    /// answers pre-evaluated by the worker).
+    merge: Option<Qlove>,
+    answers: Vec<QloveAnswer>,
+    /// Boundary summaries merged.
+    merged: u64,
+    /// The worker acknowledged the session's close.
+    closed: bool,
 }
 
 /// Run every `spec` to completion over the single established
@@ -603,13 +423,16 @@ impl<F: FnMut() -> io::Result<Conn>> MuxCollector<'_, F> {
 /// Panics when `specs` is empty (same contract as the distributed
 /// runtimes).
 pub fn run_sessions(conn: Conn, specs: &[SessionSpec]) -> io::Result<Vec<SessionOutcome>> {
-    let run = drive_sessions(conn, specs, &RecoveryPolicy::disabled(), || {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "no respawn hook: supervision disabled",
-        ))
-    })?;
+    let run = drive_sessions(conn, specs, &RecoveryPolicy::disabled(), no_respawn)?;
     Ok(run.outcomes)
+}
+
+/// The respawn hook of a run whose policy never restarts the worker.
+pub(crate) fn no_respawn() -> io::Result<Conn> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "no respawn hook: supervision disabled",
+    ))
 }
 
 /// [`run_sessions`] with whole-process recovery: when the worker dies,
@@ -659,148 +482,41 @@ where
         assert!(spec.config.period > 0, "need a positive sub-window period");
     }
 
-    policy.arm(&conn)?;
-    let breaker = conn.try_clone()?;
-    let (reader, mut writer) = hello_handshake(conn)?;
+    let (read, writer) = link::open(conn, policy)?;
+    let link = Link::new(policy.enabled());
+    link.install(writer);
     for (s, spec) in specs.iter().enumerate() {
-        writer.write_frame(&Frame::OpenSession {
+        link.deal(Frame::OpenSession {
             session: s as u64,
             config: spec.config.clone(),
             mode: spec.mode,
         })?;
     }
-    writer.flush()?;
 
-    let link = MuxLink::new(writer, n, policy.enabled());
     let journal = EventJournal::new();
     let mut collector = MuxCollector {
         link: &link,
-        specs,
         policy,
-        reader,
-        breaker,
+        read,
         respawn,
         restarts: 0,
         journal: &journal,
         worker_stats: vec![WorkerStats::default(); n],
     };
 
-    // Client-side merge state per shard session (operator sessions get
-    // their answers pre-evaluated by the worker).
-    let mut merges: Vec<Option<Qlove>> = specs
+    let mut sessions: Vec<Collected> = specs
         .iter()
-        .map(|spec| match spec.mode {
-            WorkerMode::Shard => Some(Qlove::new(spec.config.clone())),
-            WorkerMode::Operator => None,
+        .map(|spec| Collected {
+            merge: (spec.mode == WorkerMode::Shard).then(|| Qlove::new(spec.config.clone())),
+            answers: Vec::new(),
+            merged: 0,
+            closed: false,
         })
         .collect();
-    let mut answers: Vec<Vec<QloveAnswer>> = vec![Vec::new(); n];
-    let mut merged: Vec<u64> = vec![0; n];
-    let mut closed: Vec<bool> = vec![false; n];
 
     let (outcomes, worker_stats) = thread::scope(|scope| -> io::Result<_> {
-        let link_ref = &link;
-        let dealer = scope.spawn(move || deal_all(link_ref, specs));
-
-        let mut open = n;
-        let collected = loop {
-            let frame = match collector.read_with_probe() {
-                Ok(frame) => frame,
-                Err((kind, detect_us, cause)) => match collector.recover(kind, detect_us, cause) {
-                    Ok(()) => continue,
-                    Err(e) => break Err(e),
-                },
-            };
-            let session_index = |session: u64| -> io::Result<usize> {
-                usize::try_from(session)
-                    .ok()
-                    .filter(|&s| s < n)
-                    .ok_or_else(|| protocol(format!("frame for unknown session {session}")))
-            };
-            match frame {
-                Frame::BoundarySummary {
-                    session,
-                    boundary,
-                    epoch: 0,
-                    summary,
-                } => {
-                    let s = match session_index(session) {
-                        Ok(s) => s,
-                        Err(e) => break Err(e),
-                    };
-                    let Some(merge) = merges[s].as_mut() else {
-                        break Err(protocol(format!(
-                            "session {s}: boundary summary from an operator session"
-                        )));
-                    };
-                    if closed[s] || boundary != merged[s] {
-                        break Err(protocol(format!(
-                            "session {s}: summary for boundary {boundary} out of order \
-                             (expected {})",
-                            merged[s]
-                        )));
-                    }
-                    let len = specs[s].values.len();
-                    let period = specs[s].config.period;
-                    let expected = (len - (boundary as usize) * period).min(period) as u64;
-                    if summary.total() != expected {
-                        break Err(protocol(format!(
-                            "session {s} boundary {boundary}: summary covers {} elements, \
-                             dealt {expected}",
-                            summary.total()
-                        )));
-                    }
-                    if let Some(answer) = merge.merge(&summary) {
-                        answers[s].push(answer);
-                    }
-                    merged[s] += 1;
-                    link.ack(s, boundary);
-                }
-                Frame::Answer {
-                    session,
-                    boundary,
-                    answer,
-                } => {
-                    let s = match session_index(session) {
-                        Ok(s) => s,
-                        Err(e) => break Err(e),
-                    };
-                    if merges[s].is_some() {
-                        break Err(protocol(format!(
-                            "session {s}: answer frame from a shard session"
-                        )));
-                    }
-                    if closed[s] || boundary != answers[s].len() as u64 {
-                        break Err(protocol(format!(
-                            "session {s}: answer {boundary} out of order (expected {})",
-                            answers[s].len()
-                        )));
-                    }
-                    answers[s].push(answer);
-                }
-                Frame::CloseSession { session } => {
-                    let s = match session_index(session) {
-                        Ok(s) => s,
-                        Err(e) => break Err(e),
-                    };
-                    if closed[s] {
-                        break Err(protocol(format!("session {s}: duplicate close ack")));
-                    }
-                    closed[s] = true;
-                    open -= 1;
-                    link.close_acked(s);
-                }
-                Frame::Shutdown => {
-                    if open > 0 {
-                        break Err(protocol(format!(
-                            "shutdown ack with {open} sessions still open"
-                        )));
-                    }
-                    break Ok(());
-                }
-                other => break Err(protocol(format!("unexpected frame {other:?}"))),
-            }
-        };
+        let dealer = scope.spawn(|| deal_all(&link, specs));
+        let collected = collector.collect(specs, &mut sessions);
         if collected.is_err() {
             collector.fail_all();
         }
@@ -810,12 +526,12 @@ where
 
         let outcomes = specs
             .iter()
-            .enumerate()
-            .map(|(s, spec)| SessionOutcome {
+            .zip(sessions)
+            .map(|(spec, session)| SessionOutcome {
                 mode: spec.mode,
-                answers: std::mem::take(&mut answers[s]),
-                pending: merges[s].as_ref().map_or(0, Qlove::pending),
-                boundaries: merged[s],
+                pending: session.merge.as_ref().map_or(0, Qlove::pending),
+                answers: session.answers,
+                boundaries: session.merged,
             })
             .collect();
         Ok((outcomes, collector.worker_stats))
