@@ -8,7 +8,7 @@ use crate::fewk::{interval_sample_into, merge_sample_k, merge_top_k, tail_need, 
 use qlove_freqstore::{FreqStore, FreqStoreImpl};
 use qlove_stats::error_bound::CltBound;
 use qlove_stream::{QuantilePolicy, ShardAccumulator, SummaryMerge};
-use qlove_wire::{decode_summary, summary_to_bytes};
+use qlove_wire::{decode_summary_with_total, summary_to_bytes};
 use qlove_workloads::transform::quantize_sig_digits;
 use std::collections::VecDeque;
 
@@ -189,22 +189,19 @@ impl QloveSummary {
     }
 
     /// Encode into the compact QLVS wire form
-    /// (`qlove_wire::encode_summary`): delta-varint pairs, a
-    /// few bytes per unique value on quantized telemetry.
+    /// (`qlove_wire::encode_summary`): bit-packed blocks of key deltas
+    /// and frequencies, one or two bytes per unique value.
     pub fn to_bytes(&self) -> Vec<u8> {
         summary_to_bytes(&self.counts)
     }
 
     /// Decode a QLVS frame produced by [`QloveSummary::to_bytes`].
-    /// Malformed input surfaces as `InvalidData` — never a panic.
+    /// Malformed input surfaces as `InvalidData` — never a panic. The
+    /// decoder checks every [`QloveSummary::from_counts`] rule and sums
+    /// the total in its one pass, so nothing is walked twice.
     pub fn from_bytes(bytes: &[u8]) -> std::io::Result<Self> {
-        let counts = decode_summary(bytes)?;
-        Self::from_counts(counts).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "summary total overflows u64",
-            )
-        })
+        let (counts, total) = decode_summary_with_total(bytes)?;
+        Ok(Self { counts, total })
     }
 
     /// Partition the checkpoint by value at `pivot`: everything

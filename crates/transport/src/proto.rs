@@ -14,13 +14,13 @@
 //! |------|-------------------|------------------------------------------------------|
 //! | 1    | `Hello`           | magic `"QLVT"`, version u8, role u8                  |
 //! | 2    | `OpenSession`     | varint session id, config + mode (varints/f64 bits)  |
-//! | 3    | `EventBatch`      | varint session id, varint count, then value varints  |
+//! | 3    | `EventBatch`      | varint session id, varint count, packed value blocks |
 //! | 4    | `Boundary`        | varint session id, varint boundary index             |
-//! | 5    | `BoundarySummary` | varint session, boundary, epoch, then one QLVS frame |
+//! | 5    | `BoundarySummary` | varint session, boundary, epoch, then one QLVS v2    |
 //! | 6    | `Answer`          | varint session id, varint eval index, `QloveAnswer`  |
 //! | 7    | `Shutdown`        | empty                                                |
 //! | 8    | `Heartbeat`       | varint session id                                    |
-//! | 9    | `Restore`         | varint session id, varint boundary, QLVS checkpoint  |
+//! | 9    | `Restore`         | varint session id, varint boundary, QLVS v2 frame    |
 //! | 10   | `CloseSession`    | varint session id                                    |
 //! | 11   | `Reshard`         | varint session id, varint boundary, varint epoch     |
 //! | 15   | `StatsRequest`    | varint session id                                    |
@@ -28,6 +28,11 @@
 //!
 //! Types 12–14 carried the retired shared-memory data plane (v4–v5).
 //! They stay unassigned, so a decoder treats them as unknown types.
+//!
+//! The two hot payloads are bit-packed (`qlove_wire::write_packed`):
+//! an `EventBatch`'s values are frame-of-reference blocks of up to 128
+//! values, and a summary or checkpoint is a QLVS v2 frame of packed key
+//! deltas and frequencies. Everything else is varints.
 //!
 //! Since protocol v2 a single connection multiplexes many independent
 //! sessions: every post-handshake frame except `Shutdown` leads with a
@@ -41,16 +46,19 @@
 //! any shape — truncated frames, unknown types, corrupt counts,
 //! non-canonical payloads, trailing bytes — surfaces as an
 //! `InvalidData`/`UnexpectedEof` error, **never** a panic. Declared
-//! lengths are capped ([`MAX_FRAME_LEN`]) and counts are checked
-//! against the bytes actually present before any allocation, so a
-//! hostile peer cannot trigger an OOM. Decoded configs are fully
+//! lengths are capped ([`MAX_FRAME_LEN`]), event counts are capped
+//! ([`MAX_BATCH_VALUES`]), and counts are checked against the fewest
+//! bytes their items could take before any allocation, so a hostile
+//! peer cannot trigger an OOM. Decoded configs are fully
 //! validated here (the checks `QloveConfig::validate` would assert) so
 //! a worker can construct an operator from a wire config without
 //! risking a panic on malicious input.
 
 use qlove_core::{AnswerSource, Backend, FewKConfig, QloveAnswer, QloveConfig, QloveSummary};
 use qlove_stats::error_bound::CltBound;
-use qlove_wire::{read_uvarint, write_uvarint};
+use qlove_wire::{
+    read_packed, read_uvarint, write_packed, write_uvarint, MIN_BLOCK_BYTES, PACK_BLOCK,
+};
 use std::io::{self, Read, Write};
 
 /// Connection magic carried by every [`Frame::Hello`].
@@ -61,14 +69,20 @@ pub const PROTOCOL_MAGIC: &[u8; 4] = b"QLVT";
 /// `BoundarySummary`); v4 added a shared-memory data plane (frame
 /// types 12–14); v5 added on-demand worker stats scraping
 /// (`StatsRequest`/`StatsReport`); v6 retired the shared-memory plane,
-/// leaving types 12–14 unassigned. Older peers are rejected at the
-/// hello exchange.
-pub const PROTOCOL_VERSION: u8 = 6;
+/// leaving types 12–14 unassigned; v7 bit-packs `EventBatch` values and
+/// carries QLVS v2 summaries. Older peers are rejected at the hello
+/// exchange.
+pub const PROTOCOL_VERSION: u8 = 7;
 /// Hard cap on a frame's declared payload length. An `EventBatch` of
-/// the executor's batch size costs at most ~41 KB; 16 MiB leaves room
-/// for huge unquantized summaries while bounding what a corrupt length
-/// can make the reader allocate.
+/// the executor's batch size (4,096 values) costs at most ~33 KB even
+/// at width 64; 16 MiB leaves room for huge unquantized summaries while
+/// bounding what a corrupt length can make the reader allocate.
 pub const MAX_FRAME_LEN: usize = 1 << 24;
+/// Most values one `EventBatch` may carry. Dealers send at most the
+/// executor's batch size (4,096). A width-0 block stands for 128 values
+/// in two bytes, so the bytes present do not bound the count; this cap
+/// does, and the decoder checks it before allocating.
+pub const MAX_BATCH_VALUES: usize = 1 << 16;
 
 /// Which side of a session a peer is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -575,9 +589,7 @@ fn encode_payload(buf: &mut Vec<u8>, frame: &Frame) {
         Frame::EventBatch { session, values } => {
             write_uvarint(buf, *session);
             write_uvarint(buf, values.len() as u64);
-            for &v in values {
-                write_uvarint(buf, v);
-            }
+            write_packed(buf, values);
         }
         Frame::Boundary { session, boundary } => {
             write_uvarint(buf, *session);
@@ -680,11 +692,16 @@ pub fn decode_frame(frame_type: u8, mut payload: &[u8]) -> io::Result<Frame> {
         }
         3 => {
             let session = read_varint(data, "session id")?;
-            let count = read_count(data, 1, "event batch count")?;
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                values.push(read_varint(data, "event value")?);
+            let count = read_varint(data, "event batch count")?;
+            if count > MAX_BATCH_VALUES as u64 {
+                return Err(bad("event batch count exceeds cap"));
             }
+            let count = count as usize;
+            if count.div_ceil(PACK_BLOCK) > data.len() / MIN_BLOCK_BYTES {
+                return Err(bad("event batch count exceeds payload"));
+            }
+            let mut values = vec![0; count];
+            read_packed(data, &mut values).ok_or_else(|| bad("corrupt event block"))?;
             Frame::EventBatch { session, values }
         }
         4 => Frame::Boundary {
@@ -775,10 +792,19 @@ impl<W: Write> FrameWriter<W> {
 
     /// Encode and send one frame. A frame whose payload exceeds
     /// [`MAX_FRAME_LEN`] (e.g. a summary of an unquantized
-    /// multi-million-unique sub-window) errors **at the sender**
-    /// instead of being shipped for the peer to reject — and can never
-    /// wrap the u32 length prefix and desynchronize the stream.
+    /// multi-million-unique sub-window), or an `EventBatch` of more than
+    /// [`MAX_BATCH_VALUES`] values, errors **at the sender** instead of
+    /// being shipped for the peer to reject — and can never wrap the
+    /// u32 length prefix and desynchronize the stream.
     pub fn write_frame(&mut self, frame: &Frame) -> io::Result<()> {
+        if let Frame::EventBatch { values, .. } = frame {
+            if values.len() > MAX_BATCH_VALUES {
+                return Err(bad(format!(
+                    "refusing to send oversized event batch ({} values > {MAX_BATCH_VALUES} cap)",
+                    values.len()
+                )));
+            }
+        }
         self.buf.clear();
         self.buf.extend_from_slice(&[0u8; 5]);
         encode_payload(&mut self.buf, frame);
@@ -1207,8 +1233,11 @@ mod tests {
         write_uvarint(&mut payload, u64::MAX);
         err_kind(&payload, 2);
         // Event batch counts at the integer extremes: all exceed the
-        // bytes present and must be rejected before allocation.
+        // protocol cap and must be rejected before allocation, even
+        // with a width-0 block behind them that could stand for 128
+        // values per two bytes.
         for count in [
+            MAX_BATCH_VALUES as u64 + 1,
             u64::from(u32::MAX),
             u64::from(u32::MAX) + 1,
             usize::MAX as u64,
@@ -1217,7 +1246,10 @@ mod tests {
             let mut payload = Vec::new();
             write_uvarint(&mut payload, 0); // session
             write_uvarint(&mut payload, count);
+            write_packed(&mut payload, &[7; PACK_BLOCK]);
             err_kind(&payload, 3);
+            let err = decode_frame(3, &payload).unwrap_err();
+            assert!(err.to_string().contains("exceeds cap"), "{count}: {err}");
         }
         // Answer quantile count at the extremes, through frame 6.
         for count in [u64::from(u32::MAX) + 1, u64::MAX] {
@@ -1251,11 +1283,15 @@ mod tests {
         assert!(decode_frame(1, b"QLVT\x01").is_err());
         assert!(decode_frame(1, b"QLVT\x01\x09").is_err());
         assert!(decode_frame(1, b"QLVT\x01\x00\x00").is_err());
-        // Event batch whose count exceeds the payload.
+        // Event batch whose count (within the cap) exceeds what the
+        // payload could hold even at width 0: rejected before the
+        // values are allocated.
         let mut payload = Vec::new();
         write_uvarint(&mut payload, 0); // session
-        write_uvarint(&mut payload, u64::MAX);
-        assert!(decode_frame(3, &payload).is_err());
+        write_uvarint(&mut payload, MAX_BATCH_VALUES as u64);
+        write_packed(&mut payload, &[7; PACK_BLOCK]);
+        let err = decode_frame(3, &payload).unwrap_err();
+        assert!(err.to_string().contains("exceeds payload"), "{err}");
         // Event batch with no session id at all.
         assert!(decode_frame(3, &[]).is_err());
         // Trailing garbage after a valid session + boundary index.
@@ -1316,19 +1352,29 @@ mod tests {
         assert!(decode_frame(9, &payload).is_err());
         // A restore checkpoint claiming far more pairs than the payload
         // holds must be rejected before any allocation (the QLVS
-        // decoder's count-vs-bytes check, reached through frame 9).
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, 0); // session
-        write_uvarint(&mut payload, 0); // boundary
-        let mut qlvs = Vec::new();
-        qlove_wire::encode_summary(&[(1, 1)], &mut qlvs);
-        // Blow up the declared pair count (varint right after the QLVS
-        // magic + version header) while keeping the payload tiny.
-        let header = 5;
-        qlvs.truncate(header);
-        write_uvarint(&mut qlvs, u64::MAX);
-        payload.extend_from_slice(&qlvs);
-        assert!(decode_frame(9, &payload).is_err());
+        // decoder's count checks, reached through frame 9).
+        for (count, reason) in [
+            (u64::MAX, "exceeds cap"),
+            (qlove_wire::MAX_SUMMARY_PAIRS as u64, "exceeds payload"),
+        ] {
+            let mut payload = Vec::new();
+            write_uvarint(&mut payload, 0); // session
+            write_uvarint(&mut payload, 0); // boundary
+            let mut qlvs = Vec::new();
+            qlove_wire::encode_summary(&[(1, 1)], &mut qlvs);
+            // Blow up the declared pair count (varint right after the
+            // QLVS magic + version header) while keeping the rest of
+            // the one-pair v2 payload: first key, delta and frequency
+            // blocks.
+            let header = 5;
+            let body = qlvs.split_off(header + 1);
+            qlvs.truncate(header); // drop the one-byte count of 1
+            write_uvarint(&mut qlvs, count);
+            qlvs.extend_from_slice(&body);
+            payload.extend_from_slice(&qlvs);
+            let err = decode_frame(9, &payload).unwrap_err();
+            assert!(err.to_string().contains(reason), "{count}: {err}");
+        }
     }
 
     /// The v5 stats frames face the same hostile-input contract:
@@ -1359,6 +1405,76 @@ mod tests {
         assert!(decode_frame(16, &payload).is_ok());
         payload.push(0);
         assert!(decode_frame(16, &payload).is_err());
+    }
+
+    /// QLVT v7 event payloads are packed blocks: a corrupt block
+    /// (width above 64, nonzero padding bits, `min + offset` past
+    /// `u64::MAX`) is `InvalidData`, and so is every cut of a
+    /// multi-block batch.
+    #[test]
+    fn rejects_corrupt_packed_event_blocks() {
+        let batch = |values: &[u64]| {
+            let mut payload = Vec::new();
+            write_uvarint(&mut payload, 0); // session
+            write_uvarint(&mut payload, values.len() as u64);
+            payload
+        };
+        // Width 65.
+        let mut payload = batch(&[0, 0]);
+        payload.extend_from_slice(&[0, 65]);
+        payload.extend_from_slice(&[0; 17]);
+        assert!(decode_frame(3, &payload).is_err());
+        // Nonzero padding: three 1-bit offsets, bit 7 set.
+        let mut payload = batch(&[0, 1, 0]);
+        payload.extend_from_slice(&[0, 1, 0b1000_0010]);
+        assert!(decode_frame(3, &payload).is_err());
+        payload[4] = 0b010;
+        assert!(decode_frame(3, &payload).is_ok());
+        // min + offset overflows.
+        let mut payload = batch(&[0, 0]);
+        write_uvarint(&mut payload, u64::MAX);
+        payload.extend_from_slice(&[1, 0b10]);
+        assert!(decode_frame(3, &payload).is_err());
+        // Every cut of a three-block batch, width 0 in the middle.
+        let values: Vec<u64> = (0..300u64)
+            .map(|i| {
+                if (128..256).contains(&i) {
+                    5
+                } else {
+                    218 + i * 613
+                }
+            })
+            .collect();
+        let mut payload = batch(&values);
+        write_packed(&mut payload, &values);
+        let Frame::EventBatch { values: got, .. } = decode_frame(3, &payload).unwrap() else {
+            panic!("wrong frame kind")
+        };
+        assert_eq!(got, values);
+        for cut in 0..payload.len() {
+            assert!(decode_frame(3, &payload[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn writer_refuses_batches_past_the_cap() {
+        let mut bytes = Vec::new();
+        let mut writer = FrameWriter::new(&mut bytes);
+        let at_cap = Frame::EventBatch {
+            session: 0,
+            values: vec![1; MAX_BATCH_VALUES],
+        };
+        writer.write_frame(&at_cap).unwrap();
+        let past = Frame::EventBatch {
+            session: 0,
+            values: vec![1; MAX_BATCH_VALUES + 1],
+        };
+        let err = writer.write_frame(&past).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            FrameReader::new(bytes.as_slice()).read_frame().unwrap(),
+            at_cap
+        );
     }
 
     #[test]

@@ -1,26 +1,16 @@
-//! Binary snapshot save/load for datasets, plus a back-compat re-export
-//! of the QLVS summary codec.
+//! Binary snapshot save/load for datasets.
 //!
 //! Harness runs generate workloads deterministically from seeds, but a
 //! snapshot on disk lets (a) a run be replayed bit-identically across
 //! machines/versions and (b) externally captured telemetry be fed to the
 //! same harness. The dataset format is deliberately trivial: a magic
-//! header, a UTF-8 name, and little-endian `u64` values.
-//!
-//! The varint primitives and the compact sub-window summary codec
-//! (`encode_summary`/`decode_summary`) historically lived here; they
-//! are now the dependency-free [`qlove_wire`] crate so the socket
-//! transport (`qlove_transport`) can share them without depending on
-//! the workload generators. The original paths keep working through the
-//! re-exports below. Std-only, like everything in this crate.
+//! header, a UTF-8 name, and little-endian `u64` values. Std-only, like
+//! everything in this crate. (The wire codecs — varints, packed blocks
+//! and the QLVS summary frame — live in the `qlove_wire` crate.)
 
 use std::fs;
 use std::io;
 use std::path::Path;
-
-pub use qlove_wire::{
-    decode_summary, encode_summary, read_uvarint, summary_to_bytes, write_uvarint,
-};
 
 /// File magic: "QLVD" + format version 1.
 const MAGIC: &[u8; 4] = b"QLVD";
@@ -160,21 +150,6 @@ mod tests {
         let wrap = (1u64 << 61) + 3;
         bytes[count_at..count_at + 8].copy_from_slice(&wrap.to_le_bytes());
         assert!(Dataset::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn summary_codec_reexports_stay_usable() {
-        // The codec moved to `qlove_wire`; the historical
-        // `qlove_workloads::io` paths must keep compiling and agreeing
-        // with the source crate.
-        let counts = vec![(5u64, 2u64), (9, 1)];
-        let bytes = summary_to_bytes(&counts);
-        assert_eq!(bytes, qlove_wire::summary_to_bytes(&counts));
-        assert_eq!(decode_summary(&bytes).unwrap(), counts);
-        let mut buf = Vec::new();
-        write_uvarint(&mut buf, 300);
-        let mut slice = buf.as_slice();
-        assert_eq!(read_uvarint(&mut slice), Some(300));
     }
 
     #[test]

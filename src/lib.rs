@@ -26,8 +26,8 @@
 //!   structured event journal, and the shared monotonic clock.
 //! * [`transport`] — the multi-process distributed runtime: framed
 //!   QLVT socket protocol, worker runtime, pipelined coordinator.
-//! * [`wire`] — varint primitives and the QLVS summary codec shared by
-//!   snapshot IO and the transport.
+//! * [`wire`] — varint and bit-packed block primitives and the QLVS
+//!   summary codec shared by `core` and the transport.
 
 #![forbid(unsafe_code)]
 
